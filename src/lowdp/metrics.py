@@ -1,12 +1,19 @@
 """Exact Wasserstein distances between empirical measures, plus diagnostics.
 
-Distances are computed as exact integral min-cost flows on the complete
-bipartite support graph: rational weights are scaled to a common integer
-denominator and the transportation problem is solved to a basic (vertex)
-optimum, which is integral for integral marginals.  Node potentials of the
-flow give the dual Lipschitz certificate, so optimality is checkable.
+Two exact solvers sit behind one value path.  When both measures are
+uniform and of equal size k, the optimal plan can be taken to be a
+permutation (Birkhoff), so W_p^p is the optimal linear assignment on the
+k x k costs, divided by k; that is how a plain ``wasserstein1`` /
+``wasserstein2`` call on such measures is solved.  Every other instance
+(unequal sizes, non-uniform rational weights), and every call with
+``detailed=True``, is solved as the transportation LP: rational weights
+are scaled to a common integer denominator and HiGHS returns a basic
+(vertex) optimum, which is integral for integral marginals.  Its node
+potentials are replaced by their double c-transform, so they satisfy
+u_i + v_j <= c_ij exactly on the reported costs and give a checkable dual
+Lipschitz certificate.
 
-For instances too large for the exact solver there is a separate,
+For instances too large for the exact solvers there is a separate,
 explicitly approximate subsample estimator.
 """
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,11 +51,13 @@ class EmpiricalMeasure:
     """Weighted point measure: support is d x k, weights are exact rationals.
 
     Weights default to the uniform 1/k and must be nonnegative rationals
-    summing to exactly 1.
+    summing to exactly 1.  ``uniform`` records, once, whether every weight
+    is 1/k.
     """
 
     support: np.ndarray
     weights: tuple = None
+    uniform: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.support, dtype=np.float64))
@@ -59,6 +68,7 @@ class EmpiricalMeasure:
         k = pts.shape[1]
         if self.weights is None:
             w = tuple([Fraction(1, k)] * k)
+            uniform = True
         else:
             w = tuple(Fraction(x) for x in self.weights)
             if len(w) != k:
@@ -67,8 +77,10 @@ class EmpiricalMeasure:
                 raise InvalidParameterError("weights must be nonnegative")
             if sum(w) != 1:
                 raise InvalidParameterError("weights must sum to exactly 1")
+            uniform = all(x == w[0] for x in w)
         object.__setattr__(self, "support", pts)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "uniform", uniform)
 
     @classmethod
     def from_points(cls, points) -> "EmpiricalMeasure":
@@ -93,13 +105,25 @@ class TransportResult:
 
 
 def ground_distances(x: np.ndarray, y: np.ndarray, metric: str = "linf") -> np.ndarray:
-    """Pairwise ground distances between columns of x (d x k1) and y (d x k2)."""
-    diff = x.T[:, None, :] - y.T[None, :, :]
-    if metric == "linf":
-        return np.abs(diff).max(axis=2)
-    if metric == "l2":
-        return np.sqrt((diff * diff).sum(axis=2))
-    raise InvalidParameterError(f"unknown ground metric {metric!r} (use 'linf' or 'l2')")
+    """Pairwise ground distances between columns of x (d x k1) and y (d x k2).
+
+    Accumulates one coordinate at a time into a single k1 x k2 array, so no
+    k1 x k2 x d temporary is built; ``l2`` sums the squares in coordinate
+    order.
+    """
+    if metric not in ("linf", "l2"):
+        raise InvalidParameterError(f"unknown ground metric {metric!r} (use 'linf' or 'l2')")
+    if x.shape[0] != y.shape[0]:
+        raise InvalidParameterError("measures live in different ambient dimensions")
+    out = np.zeros((x.shape[1], y.shape[1]))
+    step = np.empty_like(out)
+    for xc, yc in zip(x, y):
+        np.subtract(xc[:, None], yc[None, :], out=step)
+        if metric == "linf":
+            np.maximum(out, np.abs(step, out=step), out=out)
+        else:
+            out += np.multiply(step, step, out=step)
+    return out if metric == "linf" else np.sqrt(out, out=out)
 
 
 def _integer_masses(p: EmpiricalMeasure, q: EmpiricalMeasure):
@@ -121,7 +145,9 @@ def _solve_transport(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Exact transportation LP: min <c, x> with row sums a and column sums b.
 
     Returns the flow (a vertex solution, integral for integral marginals)
-    and the node potentials (u, v) with u_i + v_j <= c_ij.
+    and node potentials (u, v) with u_i + v_j <= c_ij exactly: HiGHS row
+    duals are feasible only to its tolerance, so they are replaced by their
+    double c-transform v_j = min_i (c_ij - u_i), u_i = min_j (c_ij - v_j).
     """
     kp, kq = costs.shape
     ncells = kp * kq
@@ -136,28 +162,41 @@ def _solve_transport(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
         shape=(kp + kq, ncells),
     ).tocsr()
     b_eq = np.concatenate([a, b]).astype(np.float64)
-    res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(
+        costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False}
+    )
     if res.status != 0:
         raise SolverError(f"transportation solve failed (status {res.status}): {res.message}")
     flow = res.x.reshape(kp, kq)
-    duals = res.eqlin.marginals
-    return flow, float(res.fun), duals[:kp], duals[kp:]
+    u = res.eqlin.marginals[:kp]
+    v = (costs - u[:, None]).min(axis=0)
+    u = (costs - v[None, :]).min(axis=1)
+    return flow, float(res.fun), u, v
 
 
-def _transport_between(p, q, metric, power, max_cells):
+def _transport(p, q, metric, power, max_cells, detailed):
+    """W_power^power between two measures: a float, or a TransportResult.
+
+    Uniform measures of equal size k take the assignment solver unless the
+    plan and potentials are asked for; everything else takes the LP.
+    """
+    p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
+    q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
     if p.size * q.size > max_cells:
         raise SizeOverflowError(
             f"exact transport on {p.size} x {q.size} supports exceeds the "
             f"{max_cells}-cell limit; use wasserstein1_sampled (approximate)"
         )
-    if p.support.shape[0] != q.support.shape[0]:
-        raise InvalidParameterError("measures live in different ambient dimensions")
-    costs = ground_distances(p.support, q.support, metric) ** power
+    costs = ground_distances(p.support, q.support, metric)
+    if power != 1:
+        costs = costs**power
+    if not detailed and p.uniform and q.uniform and p.size == q.size:
+        rows, cols = linear_sum_assignment(costs)
+        return float(costs[rows, cols].sum()) / p.size
     a, b, denom = _integer_masses(p, q)
     flow, total, u, v = _solve_transport(costs, a, b)
-    value = total / denom
-    return TransportResult(
-        value=value,
+    result = TransportResult(
+        value=total / denom,
         plan=flow / denom,
         plan_units=np.rint(flow).astype(np.int64),
         mass_scale=denom,
@@ -165,46 +204,38 @@ def _transport_between(p, q, metric, power, max_cells):
         potential_q=v,
         costs=costs,
     )
+    return result if detailed else result.value
 
 
 def wasserstein1(p, q, metric: str = "linf", *, max_cells: int = DEFAULT_MAX_CELLS, detailed: bool = False):
     """Exact 1-Wasserstein distance between two empirical measures.
 
-    Unequal support sizes and rational weights are handled by integer mass
-    scaling; the result does not depend on the ordering of either support.
-    Raises SizeOverflowError when the scaled instance is too large, in which
-    case the sampled estimator is the documented fallback.
+    Uniform measures of equal size are solved as an assignment problem;
+    unequal support sizes, non-uniform weights and ``detailed=True`` (plan and
+    exactly feasible potentials) go through the integer-scaled transport
+    LP.  The result does not depend on the ordering of either support.
+    Raises SizeOverflowError when the instance is too large, in which case
+    the sampled estimator is the documented fallback.
     """
-    p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
-    q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
-    result = _transport_between(p, q, metric, power=1, max_cells=max_cells)
-    return result if detailed else result.value
+    return _transport(p, q, metric, 1, max_cells, detailed)
 
 
 def wasserstein2(p, q, metric: str = "l2", *, max_cells: int = DEFAULT_MAX_CELLS, detailed: bool = False):
-    """Exact 2-Wasserstein distance (squared-cost flow, square root reported)."""
-    p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
-    q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
-    result = _transport_between(p, q, metric, power=2, max_cells=max_cells)
-    value = math.sqrt(max(result.value, 0.0))
+    """Exact 2-Wasserstein distance (squared costs, square root reported).
+
+    Takes the same solver paths as ``wasserstein1``.
+    """
+    result = _transport(p, q, metric, 2, max_cells, detailed)
     if not detailed:
-        return value
-    return TransportResult(
-        value=value,
-        plan=result.plan,
-        plan_units=result.plan_units,
-        mass_scale=result.mass_scale,
-        potential_p=result.potential_p,
-        potential_q=result.potential_q,
-        costs=result.costs,
-    )
+        return math.sqrt(max(result, 0.0))
+    return replace(result, value=math.sqrt(max(result.value, 0.0)))
 
 
 def wasserstein1_bruteforce(p, q, metric: str = "linf") -> float:
     """Permutation-enumeration oracle for equal-size uniform measures.
 
     Only valid for uniform weights on supports of equal (small) size; used
-    to cross-check the flow solver.
+    to cross-check the assignment and LP solvers.
     """
     p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
     q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
@@ -252,8 +283,7 @@ def wasserstein1_sampled(
 
 
 def _draw_atoms(measure: EmpiricalMeasure, k: int, gen: SeededGenerator) -> np.ndarray:
-    uniform = all(w == measure.weights[0] for w in measure.weights)
-    if uniform and k <= measure.size:
+    if measure.uniform and k <= measure.size:
         idx = gen.choice(measure.size, size=k, replace=False)
     else:
         probs = np.array([float(w) for w in measure.weights])

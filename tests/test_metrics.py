@@ -3,6 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lowdp.metrics
+from lowdp import PipelineConfig, generate, planted_subspace_dataset
+from lowdp.cli import derive_seed
 from lowdp.errors import InvalidParameterError, SizeOverflowError
 from lowdp.metrics import (
     EmpiricalMeasure,
@@ -44,13 +47,15 @@ def test_w2_two_point_masses():
 
 
 def test_flow_matches_permutation_oracle_6x6():
+    # the default call (assignment) and detailed=True (transport LP) both
+    # stay certified against brute force
     rng = np.random.default_rng(1)
     for _ in range(25):
         x = rng.random((2, 6))
         y = rng.random((2, 6))
-        flow = wasserstein1(x, y, "linf")
         brute = wasserstein1_bruteforce(x, y, "linf")
-        assert flow == pytest.approx(brute, abs=1e-12)
+        assert wasserstein1(x, y, "linf") == pytest.approx(brute, abs=1e-12)
+        assert wasserstein1(x, y, "linf", detailed=True).value == pytest.approx(brute, abs=1e-12)
 
 
 def test_flow_matches_oracle_unequal_weighted():
@@ -99,6 +104,57 @@ def test_kantorovich_duality_gap_vanishes():
         assert slack.max() <= 1e-9
 
 
+def test_potentials_exactly_feasible_on_tight_inputs():
+    # two PMM releases (n = 128, d = 10, m != n) of the exact-pmm benchmark
+    # workload on which raw HiGHS row duals violated u_i + v_j <= c_ij by
+    # 4.8e-8 and 5.7e-8
+    for seed, trial in ((16, 64), (19, 44)):
+        gen = SeededGenerator(seed).split("perfbench").split("exact-pmm").split(f"input-{trial % 32}")
+        x = planted_subspace_dataset(128, 10, 2, gen)[0].points
+        config = PipelineConfig(
+            epsilon=1.0, seed=derive_seed(seed, "exact-pmm", "trial", trial), d_prime=2, subroutine="pmm"
+        )
+        y = generate(x, config).points
+        assert y.shape[1] != x.shape[1]
+        res = wasserstein1(x, y, "linf", detailed=True)
+        slack = res.potential_p[:, None] + res.potential_q[None, :] - res.costs
+        assert slack.max() <= 1e-12
+        a, b = res.mass_scale // x.shape[1], res.mass_scale // y.shape[1]
+        dual = (a * res.potential_p.sum() + b * res.potential_q.sum()) / res.mass_scale
+        assert abs(dual - res.value) <= 1e-9
+
+
+def _assignment_cases():
+    rng = np.random.default_rng(14)
+    yield rng.random((3, 40)), rng.random((3, 40))
+    # tie-heavy: 40 atoms on at most 27 grid points against 40 on at most 8
+    yield np.round(rng.random((3, 40)) * 2) / 2, np.round(rng.random((3, 40)))
+    yield rng.random((1, 40)), rng.random((1, 40))
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_assignment_path_matches_lp(metric, monkeypatch):
+    for x, y in _assignment_cases():
+        lp_w1 = wasserstein1(x, y, metric, detailed=True).value
+        lp_w2 = wasserstein2(x, y, metric, detailed=True).value
+        with monkeypatch.context() as m:
+            m.setattr(lowdp.metrics, "linprog", None)  # the default call must not reach the LP
+            assert wasserstein1(x, y, metric) == pytest.approx(lp_w1, abs=1e-12)
+            assert wasserstein2(x, y, metric) == pytest.approx(lp_w2, abs=1e-12)
+
+
+def test_explicit_equal_weights_take_uniform_path(monkeypatch):
+    rng = np.random.default_rng(15)
+    x, y = rng.random((2, 5)), rng.random((2, 5))
+    p = EmpiricalMeasure(x, weights=[Fraction(1, 5)] * 5)
+    q = EmpiricalMeasure(y, weights=["1/5"] * 5)
+    assert p.uniform and q.uniform
+    assert not EmpiricalMeasure(x, weights=[Fraction(1, 4)] * 3 + [Fraction(1, 8)] * 2).uniform
+    expected = wasserstein1(x, y, detailed=True).value
+    monkeypatch.setattr(lowdp.metrics, "linprog", None)
+    assert wasserstein1(p, q) == pytest.approx(expected, abs=1e-12)
+
+
 def test_metric_axioms_on_random_triples():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -137,6 +193,26 @@ def test_sampled_estimator_deterministic_and_close():
     assert a == b
     exact = wasserstein1(x, y)
     assert abs(a - exact) < 0.1 * max(exact, 1.0)
+
+
+def test_sampled_estimator_pinned_value():
+    # pinned bits: the estimate must not depend on how ground distances are summed
+    rng = np.random.default_rng(13)
+    x = rng.random((4, 700))
+    y = np.round(rng.random((4, 500)) * 4) / 4
+    value = wasserstein1_sampled(x, y, SeededGenerator(21), "linf", k=300, repeats=3)
+    assert value.hex() == "0x1.4df4fa6b9d887p-3"
+
+
+def test_ground_distances_match_broadcast_reference():
+    rng = np.random.default_rng(16)
+    x, y = rng.random((10, 30)), rng.random((10, 20))
+    diff = x.T[:, None, :] - y.T[None, :, :]
+    assert np.array_equal(ground_distances(x, y, "linf"), np.abs(diff).max(axis=2))
+    ref = np.sqrt((diff * diff).sum(axis=2))
+    assert (np.abs(ground_distances(x, y, "l2") - ref) <= 1e-15 * ref).all()
+    with pytest.raises(InvalidParameterError):
+        ground_distances(x, y[:9], "linf")
 
 
 def test_ground_distance_metrics():
