@@ -57,8 +57,7 @@ def ingest(path, *, rescale: bool = False):
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
     with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [row for row in rows if row]
+        rows = [row for row in csv.reader(handle) if row]
     if not rows:
         raise IngestError(f"{path}: file contains no data rows")
     start = 0
@@ -74,11 +73,16 @@ def ingest(path, *, rescale: bool = False):
     for i, row in enumerate(data_rows):
         if len(row) != width:
             raise IngestError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise IngestError(f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}")
+        try:
+            values[i] = list(map(float, row))
+        except ValueError:
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise IngestError(
+                        f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
+                    ) from None
     info = {"rescale": bool(rescale), "columns": None}
     if rescale:
         lo = values.min(axis=0)
@@ -102,13 +106,10 @@ def ingest(path, *, rescale: bool = False):
 
 def write_points_csv(path, points: np.ndarray) -> None:
     """One point per row; floats serialized as shortest round-trip decimals."""
-    points = np.asarray(points)
-    d = points.shape[0]
+    points = np.asarray(points, dtype=np.float64)
     with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"x{j}" for j in range(d)])
-        for i in range(points.shape[1]):
-            writer.writerow([repr(float(v)) for v in points[:, i]])
+        handle.write(",".join(f"x{j}" for j in range(points.shape[0])) + "\r\n")
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in points.T.tolist())
 
 
 def _write_json(path, payload: dict) -> None:

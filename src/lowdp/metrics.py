@@ -39,7 +39,6 @@ __all__ = [
     "wasserstein1",
     "wasserstein2",
     "wasserstein1_sampled",
-    "wasserstein1_bruteforce",
     "projection_diagnostics",
 ]
 
@@ -162,8 +161,15 @@ def _solve_transport(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
         shape=(kp + kq, ncells),
     ).tocsr()
     b_eq = np.concatenate([a, b]).astype(np.float64)
+    # HiGHS's default dual feasibility tolerance (1e-7) can stop at a vertex
+    # whose value sits ~1e-10 above the optimum; 1e-10 closes that gap
     res = linprog(
-        costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False}
+        costs.ravel(),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False, "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
         raise SolverError(f"transportation solve failed (status {res.status}): {res.message}")
@@ -229,26 +235,6 @@ def wasserstein2(p, q, metric: str = "l2", *, max_cells: int = DEFAULT_MAX_CELLS
     if not detailed:
         return math.sqrt(max(result, 0.0))
     return replace(result, value=math.sqrt(max(result.value, 0.0)))
-
-
-def wasserstein1_bruteforce(p, q, metric: str = "linf") -> float:
-    """Permutation-enumeration oracle for equal-size uniform measures.
-
-    Only valid for uniform weights on supports of equal (small) size; used
-    to cross-check the assignment and LP solvers.
-    """
-    p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
-    q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
-    k = p.size
-    if q.size != k:
-        raise InvalidParameterError("brute-force oracle needs equal support sizes")
-    if k > 8:
-        raise SizeOverflowError("brute-force oracle limited to supports of size <= 8")
-    costs = ground_distances(p.support, q.support, metric)
-    best = math.inf
-    for perm in itertools.permutations(range(k)):
-        best = min(best, costs[np.arange(k), perm].sum())
-    return best / k
 
 
 def wasserstein1_sampled(

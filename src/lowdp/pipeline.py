@@ -11,7 +11,7 @@ noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +51,6 @@ class PipelineConfig:
     zero_noise: bool = False
     m_target: int = None            # psmm output size; defaults to n
     pmm_point_mode: str = "uniform"
-    lp_method: str = "auto"
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -77,22 +76,6 @@ class PipelineConfig:
     def stage_fractions(self) -> dict:
         """Budget shares per stage; exact rationals that sum to one."""
         return dict(_SPLITS[self.budget_split])
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "d_prime": self.d_prime,
-            "tau": self.tau,
-            "subroutine": self.subroutine,
-            "seed": self.seed,
-            "budget_split": self.budget_split,
-            "delta_mode": self.delta_mode,
-            "delta_scale": self.delta_scale,
-            "zero_noise": self.zero_noise,
-            "m_target": self.m_target,
-            "pmm_point_mode": self.pmm_point_mode,
-            "lp_method": self.lp_method,
-        }
 
 
 @dataclass(frozen=True)
@@ -171,7 +154,6 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
             delta_mode=config.delta_mode,
             delta_scale=config.delta_scale,
             m_target=config.m_target,
-            lp_method=config.lp_method,
         )
 
     # per-run diagnostics: the stability/eigenvalue-shift inequalities for the
@@ -211,7 +193,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
         "pre_clamp_on_subspace": on_subspace,
     }
     provenance = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "n": n,
         "d": d,
         "m": m,

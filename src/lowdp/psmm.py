@@ -8,11 +8,14 @@ to a synthetic point multiset at the cell anchors.
 
 The LP is min over (mu >= 0, sum mu = 1, flows gamma >= 0, slacks p, q >= 0)
 of sum rho_ij gamma_ij + sum (p_i + q_i) subject to, at every anchor i,
-sum_j (gamma_ij - gamma_ji) + p_i - q_i = nu_i - mu_i, where rho is the l2
-anchor distance.  Small instances are solved literally by the in-house dense
-simplex; larger ones by an equivalent reduced flow formulation through
-HiGHS, exploiting that transport over distances >= 2 is dominated by paying
-both unit slacks.
+sum_j (gamma_ij - gamma_ji) + p_i - q_i = nu_i - mu_i, where rho is the l1
+anchor distance.  Under l1, rho is the shortest-path length on the lattice
+grid graph, so the LP is solved through HiGHS as one min-cost flow over
+unit grid steps (the Beckmann form of W1), with about 2 d' m arcs for m
+anchors.  When delta >= 2 no step beats destroying plus creating mass, and
+the projection has a closed form.  The projection post-processes nu, so it
+spends no privacy; against the l2 metric its objective is larger by at most
+a factor sqrt(d').
 """
 
 from __future__ import annotations
@@ -29,11 +32,9 @@ from .errors import (
     InvalidParameterError,
     InvalidRegimeError,
     LatticeTooLargeError,
-    SizeOverflowError,
     SolverError,
 )
 from .noise import NoiseScale, SeededGenerator, sample_integer_laplace
-from .simplex import solve_dense_lp
 
 __all__ = [
     "Lattice",
@@ -49,8 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_ANCHOR_CAP = 5_000_000
-DEFAULT_SIMPLEX_MAX = 90
-DEFAULT_ARC_CAP = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -140,14 +139,14 @@ def build_lattice(radius: float, delta: float, d_prime: int, *, cap: int = DEFAU
     return Lattice(delta=float(delta), radius=float(radius), d_prime=d_prime, int_coords=anchors)
 
 
-def _linear_keys(lattice: Lattice, int_coords: np.ndarray) -> np.ndarray:
-    k_max = int(np.abs(lattice.int_coords).max(initial=0))
-    side = 2 * k_max + 1
-    shifted = int_coords + k_max
+def _linear_keys(int_coords: np.ndarray, k: int) -> np.ndarray:
+    """Mixed-radix keys of integer points in [-k, k]^d'; key order is lexicographic order."""
+    side = 2 * k + 1
+    shifted = int_coords + k
     if (shifted < 0).any() or (shifted >= side).any():
         raise AssertionError("lattice coverage violated: cell index outside the anchor grid")
     keys = np.zeros(int_coords.shape[0], dtype=np.int64)
-    for axis in range(lattice.d_prime):
+    for axis in range(int_coords.shape[1]):
         keys = keys * side + shifted[:, axis]
     return keys
 
@@ -162,10 +161,11 @@ def cell_counts(coords: np.ndarray, lattice: Lattice) -> np.ndarray:
     if coords.ndim != 2 or coords.shape[0] != lattice.d_prime:
         raise InvalidParameterError(f"coords must be {lattice.d_prime} x n, got {coords.shape}")
     cells = np.floor(coords.T / lattice.delta).astype(np.int64)
-    anchor_keys = _linear_keys(lattice, lattice.int_coords)
+    k_max = int(np.abs(lattice.int_coords).max(initial=0))
+    anchor_keys = _linear_keys(lattice.int_coords, k_max)
     order = np.argsort(anchor_keys)
     sorted_keys = anchor_keys[order]
-    point_keys = _linear_keys(lattice, cells)
+    point_keys = _linear_keys(cells, k_max)
     pos = np.searchsorted(sorted_keys, point_keys)
     pos = np.minimum(pos, sorted_keys.size - 1)
     if not (sorted_keys[pos] == point_keys).all():
@@ -197,221 +197,92 @@ def perturb_to_signed_measure(
     return SignedLatticeMeasure(weights=noisy / n)
 
 
-def _bl_projection_lp_dense(nu: np.ndarray, rho: np.ndarray):
-    """Literal LP over (mu, gamma, p, q) solved by the dense simplex."""
-    m = nu.shape[0]
-    n_gamma = m * m
-    n_vars = m + n_gamma + 2 * m
-    cost = np.zeros(n_vars)
-    cost[m : m + n_gamma] = rho.ravel()
-    cost[m + n_gamma :] = 1.0
-    a_eq = np.zeros((m + 1, n_vars))
-    for i in range(m):
-        a_eq[i, i] = 1.0                                   # mu_i
-        a_eq[i, m + i * m : m + (i + 1) * m] += 1.0        # outflow gamma_i*
-        a_eq[i, m + i : m + n_gamma : m] -= 1.0            # inflow gamma_*i
-        a_eq[i, m + n_gamma + i] = 1.0                     # p_i
-        a_eq[i, m + n_gamma + m + i] = -1.0                # q_i
-    a_eq[m, :m] = 1.0
-    b_eq = np.concatenate([nu, [1.0]])
-    x, objective = solve_dense_lp(cost, a_eq, b_eq)
-    return x[:m], objective
+def _grid_graph(lattice: Lattice):
+    """The unit-step grid graph on every z in Z^d' with ||z||_2 <= max anchor norm.
 
-
-def _enumerate_offsets(delta: float, d_prime: int, cutoff: float = 2.0, grid_cap: int = 40_000_000):
-    """Integer lattice offsets with 0 < ||o|| * delta <= cutoff, nearest first.
-
-    Transport between anchors only ever pays off below ground distance 2
-    (one destruction plus one creation costs exactly 2), so candidate arcs
-    are source/hole pairs differing by one of these offsets.
+    Returns (node count, anchor node index per anchor, edge tails, edge
+    heads); each undirected edge joins z and z + e_k.  For a
+    ``build_lattice`` lattice the nodes are exactly its anchors; any other
+    node is a zero-mass transit node.
     """
-    k = int(math.floor(cutoff / delta))
-    side = 2 * k + 1
-    if side ** d_prime > grid_cap:
-        raise SizeOverflowError(
-            f"transport neighborhood needs {side ** d_prime} candidate offsets; "
-            "increase the lattice delta"
-        )
+    ints = lattice.int_coords
+    d_prime = lattice.d_prime
+    r2 = int((ints**2).sum(axis=1).max(initial=0))
+    k = math.isqrt(r2)
     axes = [np.arange(-k, k + 1, dtype=np.int64)] * d_prime
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d_prime)
-    norms = np.linalg.norm(grid, axis=1) * delta
-    keep = (norms <= cutoff) & (norms > 0)
-    grid, norms = grid[keep], norms[keep]
-    order = np.argsort(norms, kind="stable")
-    return grid[order], norms[order]
+    nodes = grid[(grid**2).sum(axis=1) <= r2]
+    keys = _linear_keys(nodes, k)  # ascending: meshgrid order is lexicographic
+    anchor_node = np.searchsorted(keys, _linear_keys(ints, k))
+    tails, heads = [], []
+    for axis, step in enumerate(np.eye(d_prime, dtype=np.int64)):
+        inside = np.nonzero(nodes[:, axis] < k)[0]
+        target = _linear_keys(nodes[inside] + step, k)
+        head = np.minimum(np.searchsorted(keys, target), keys.size - 1)
+        ok = keys[head] == target
+        tails.append(inside[ok])
+        heads.append(head[ok])
+    return keys.size, anchor_node, np.concatenate(tails), np.concatenate(heads)
 
 
-class _OffsetMatcher:
-    """Vectorized lookup of (source, hole) pairs differing by a lattice offset."""
+def _projection_without_transport(nu: np.ndarray):
+    """Closed-form projection when no unit step beats destroy plus create.
 
-    def __init__(self, src_int, hole_int, span):
-        self.src_int = src_int
-        self.base = 2 * span + 3
-        self.shift = span + 1
-        if self.base ** src_int.shape[1] >= 2**62:
-            raise SizeOverflowError(
-                "lattice coordinate keys would overflow; increase the lattice delta"
-            )
-        hole_keys = self._keys(hole_int)
-        self.order = np.argsort(hole_keys)
-        self.sorted_keys = hole_keys[self.order]
-
-    def _keys(self, int_coords):
-        keys = np.zeros(int_coords.shape[0], dtype=np.int64)
-        for axis in range(int_coords.shape[1]):
-            keys = keys * self.base + (int_coords[:, axis] + self.shift)
-        return keys
-
-    def pairs(self, offset):
-        cand = self._keys(self.src_int + offset)
-        pos = np.searchsorted(self.sorted_keys, cand)
-        pos = np.minimum(pos, self.sorted_keys.size - 1)
-        ok = self.sorted_keys[pos] == cand
-        return np.nonzero(ok)[0], self.order[pos[ok]]
+    With delta >= 2 every transport path costs at least 2, so holes are
+    filled by creation and the positive mass is kept, topped up or cut down
+    to 1: the objective is sum(nu^-) + |sum(nu^+) - 1|.  An excess is taken
+    from the smallest positive cells first, ties toward the lower index.
+    """
+    keep = np.maximum(nu, 0.0)
+    total = keep.sum()
+    objective = float(np.maximum(-nu, 0.0).sum() + abs(total - 1.0))
+    if total > 1.0:
+        order = np.lexsort((np.arange(nu.size), keep))
+        before = np.cumsum(keep[order]) - keep[order]
+        keep[order] -= np.clip(total - 1.0 - before, 0.0, keep[order])
+    return keep, objective
 
 
-def _solve_reduced_lp(arc_src, arc_hole, arc_cost, supply, demand):
-    """HiGHS solve of the reduced projection LP on the current arc set."""
-    ns, nh = supply.size, demand.size
-    n_arcs = arc_src.size
-    n_vars = n_arcs + ns + nh + 1  # [arcs, destroy, create, extra-mass]
-    cost = np.concatenate([arc_cost, np.ones(ns + nh + 1)])
+def _bl_projection_grid_lp(nu: np.ndarray, lattice: Lattice):
+    """The projection LP as one min-cost flow on the lattice grid graph, via HiGHS.
 
-    a_ub = b_ub = None
-    if ns:
-        rows = np.concatenate([arc_src, np.arange(ns)])
-        cols = np.concatenate([np.arange(n_arcs), n_arcs + np.arange(ns)])
-        a_ub = sparse.coo_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(ns, n_vars)
-        ).tocsr()
-        b_ub = supply
-
-    rows = np.concatenate([arc_hole, np.arange(nh), np.full(n_arcs + ns, nh), [nh]])
-    cols = np.concatenate(
-        [np.arange(n_arcs), n_arcs + ns + np.arange(nh), np.arange(n_arcs + ns), [n_vars - 1]]
-    )
-    vals = np.concatenate([np.ones(n_arcs + nh), -np.ones(n_arcs + ns), [1.0]])
-    a_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(nh + 1, n_vars)).tocsr()
-    b_eq = np.concatenate([demand, [1.0 - supply.sum()]])
-
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    Columns: unit steps both ways along every grid edge at cost delta;
+    destroy and create slacks at cost 1 and a keep variable at every
+    anchor; one extra-mass variable at cost 1.  Rows: flow balance at every
+    node (nu at anchors, 0 at transit nodes) and the mass row
+    sum(keep) + extra = 1.  Grid distance equals the l1 anchor distance: a
+    monotone lattice path that first moves the coordinates heading toward 0
+    and then the outward ones never leaves the ball of radius
+    max(||a||, ||b||), so it stays among the nodes.  The extra mass is
+    spread over the kept mass.
+    """
+    m = nu.size
+    n_nodes, anchor_node, tails, heads = _grid_graph(lattice)
+    n_arcs = 2 * tails.size
+    n_vars = n_arcs + 3 * m + 1  # [arcs, destroy, create, keep, extra]
+    cost = np.concatenate([np.full(n_arcs, lattice.delta), np.ones(2 * m), np.zeros(m), [1.0]])
+    arcs = np.arange(n_arcs)
+    slacks = n_arcs + np.arange(3 * m)
+    rows = np.concatenate([tails, heads, heads, tails, np.tile(anchor_node, 3), np.full(m + 1, n_nodes)])
+    cols = np.concatenate([arcs, arcs, slacks, slacks[2 * m :], [n_vars - 1]])
+    vals = np.concatenate([np.ones(n_arcs), -np.ones(n_arcs), np.ones(m), -np.ones(m), np.ones(2 * m + 1)])
+    a_eq = sparse.csc_matrix((vals, (rows, cols)), shape=(n_nodes + 1, n_vars))
+    b_eq = np.zeros(n_nodes + 1)
+    b_eq[anchor_node] = nu
+    b_eq[n_nodes] = 1.0
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         raise SolverError(f"bounded-Lipschitz projection failed (status {res.status}): {res.message}")
-    return res
+    keep = res.x[n_arcs + 2 * m : -1]
+    total = keep.sum()
+    return (keep * (1.0 + res.x[-1] / total) if total > 0 else keep), float(res.fun)
 
 
-def _bl_projection_lp_flow(
-    nu: np.ndarray,
-    lattice: Lattice,
-    *,
-    arc_cap: int,
-    init_arc_budget: int = 500_000,
-    max_rounds: int = 40,
-):
-    """Exact reduced formulation for large instances, via HiGHS.
-
-    Positive-weight anchors are sources that may keep, destroy, or ship
-    mass; negative-weight anchors are holes that must be filled by shipped
-    or created mass; transport arcs longer than 2 are dominated and dropped.
-    Arcs start from the nearest lattice offsets and are generated lazily:
-    after each solve, every excluded offset is scanned for negative reduced
-    cost (rho_ij - y_i - z_j + w < 0 with y, z, w the row duals), so the
-    returned solution carries a full optimality certificate.  Mass created
-    beyond the holes is spread over the kept mass, which realizes one of
-    the LP's optimal solutions.
-    """
-    m = nu.shape[0]
-    src = np.nonzero(nu > 0)[0]
-    hole = np.nonzero(nu < 0)[0]
-    ns, nh = src.size, hole.size
-    supply = nu[src]
-    demand = -nu[hole]
-
-    arc_src = np.empty(0, dtype=np.int64)
-    arc_hole = np.empty(0, dtype=np.int64)
-    arc_cost = np.empty(0)
-    offsets = norms = None
-    scan_from = 0
-    if ns and nh:
-        offsets, norms = _enumerate_offsets(lattice.delta, lattice.d_prime)
-        span = int(np.abs(lattice.int_coords).max(initial=0)) + int(
-            np.abs(offsets).max(initial=0)
-        )
-        matcher = _OffsetMatcher(lattice.int_coords[src], lattice.int_coords[hole], span)
-        chunks_i, chunks_j, chunks_c = [], [], []
-        total = 0
-        scan_from = offsets.shape[0]
-        for t in range(offsets.shape[0]):
-            si, hj = matcher.pairs(offsets[t])
-            if total and total + si.size > init_arc_budget:
-                scan_from = t
-                break
-            chunks_i.append(si)
-            chunks_j.append(hj)
-            chunks_c.append(np.full(si.size, norms[t]))
-            total += si.size
-        if chunks_i:
-            arc_src = np.concatenate(chunks_i)
-            arc_hole = np.concatenate(chunks_j)
-            arc_cost = np.concatenate(chunks_c)
-
-    res = None
-    for _ in range(max_rounds):
-        res = _solve_reduced_lp(arc_src, arc_hole, arc_cost, supply, demand)
-        if not (ns and nh) or scan_from >= offsets.shape[0]:
-            break
-        y = res.ineqlin.marginals
-        zw = res.eqlin.marginals
-        z, w = zw[:nh], zw[nh]
-        new_i, new_j, new_c = [], [], []
-        for t in range(scan_from, offsets.shape[0]):
-            si, hj = matcher.pairs(offsets[t])
-            if not si.size:
-                continue
-            violated = norms[t] - y[si] - z[hj] + w < -1e-9
-            if violated.any():
-                new_i.append(si[violated])
-                new_j.append(hj[violated])
-                new_c.append(np.full(int(violated.sum()), norms[t]))
-        if not new_i:
-            break  # dual-feasible on every excluded arc: certified optimal
-        arc_src = np.concatenate([arc_src, *new_i])
-        arc_hole = np.concatenate([arc_hole, *new_j])
-        arc_cost = np.concatenate([arc_cost, *new_c])
-        if arc_src.size > arc_cap:
-            raise SizeOverflowError(
-                f"bounded-Lipschitz projection needs {arc_src.size} transport arcs "
-                f"(cap {arc_cap}); increase the lattice delta"
-            )
-    else:
-        raise SolverError(f"arc generation did not converge within {max_rounds} rounds")
-
-    n_arcs = arc_src.size
-    shipped = np.zeros(ns)
-    np.add.at(shipped, arc_src, res.x[:n_arcs])
-    destroyed = res.x[n_arcs : n_arcs + ns]
-    g = res.x[-1]
-    keep = np.maximum(supply - shipped - destroyed, 0.0)
-    mu = np.zeros(m)
-    if keep.sum() > 0:
-        mu[src] = keep * (1.0 + g / keep.sum())
-    else:
-        mu[:] = 1.0 / m
-    return mu, float(res.fun)
-
-
-def project_to_probability(
-    nu: SignedLatticeMeasure,
-    lattice: Lattice,
-    *,
-    method: str = "auto",
-    simplex_max: int = DEFAULT_SIMPLEX_MAX,
-    arc_cap: int = DEFAULT_ARC_CAP,
-) -> tuple[ProbabilityLatticeMeasure, float]:
+def project_to_probability(nu: SignedLatticeMeasure, lattice: Lattice) -> tuple[ProbabilityLatticeMeasure, float]:
     """Closest probability measure to nu in bounded-Lipschitz distance.
 
     Returns the minimizer together with the optimal objective value.  The
-    distance uses the l2 metric between anchors, with test functions capped
+    distance uses the l1 metric between anchors, with test functions capped
     at 1 in sup norm, so the objective is always at least |sum(nu) - 1|.
     """
     weights = np.asarray(nu.weights, dtype=np.float64)
@@ -420,17 +291,14 @@ def project_to_probability(
         raise InvalidParameterError(f"measure has {weights.shape} weights for {m} anchors")
     if m < 1:
         raise InvalidParameterError("lattice must have at least one anchor")
-    if method not in ("auto", "simplex", "flow"):
-        raise InvalidParameterError(f"unknown LP method {method!r}")
-    if method == "simplex" or (method == "auto" and m <= simplex_max):
-        anchors = lattice.anchors
-        rho = np.sqrt(((anchors[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2))
-        mu, objective = _bl_projection_lp_dense(weights, rho)
+    if lattice.delta >= 2.0:
+        mu, objective = _projection_without_transport(weights)
     else:
-        mu, objective = _bl_projection_lp_flow(weights, lattice, arc_cap=arc_cap)
+        mu, objective = _bl_projection_grid_lp(weights, lattice)
     mu = np.maximum(mu, 0.0)
-    mu /= mu.sum()
-    return ProbabilityLatticeMeasure(weights=mu), objective
+    if not mu.sum() > 0:
+        mu = np.ones(m)  # nothing kept: all mass is created, spread evenly
+    return ProbabilityLatticeMeasure(weights=mu / mu.sum()), objective
 
 
 def measure_to_points(mu: ProbabilityLatticeMeasure, lattice: Lattice, m_target: int) -> np.ndarray:
@@ -466,7 +334,6 @@ def run_psmm(
     delta_mode: str = "alg5",
     delta_scale: float = 1.0,
     m_target: int = None,
-    lp_method: str = "auto",
     anchor_cap: int = DEFAULT_ANCHOR_CAP,
 ) -> tuple[np.ndarray, dict]:
     """Full subroutine: lattice, noisy counts, LP projection, rounding."""
@@ -478,7 +345,7 @@ def run_psmm(
     lattice = build_lattice(radius, delta, d_prime, cap=anchor_cap)
     counts = cell_counts(coords, lattice)
     nu = perturb_to_signed_measure(counts, epsilon, n, gen, zero_noise=zero_noise)
-    mu, objective = project_to_probability(nu, lattice, method=lp_method)
+    mu, objective = project_to_probability(nu, lattice)
     size = int(m_target) if m_target is not None else int(n)
     points = measure_to_points(mu, lattice, size)
     info = {

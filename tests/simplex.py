@@ -1,17 +1,17 @@
-"""Exact-pivot dense simplex for small standard-form LPs.
+"""Exact-pivot dense simplex for small standard-form LPs (test oracle).
 
 Solves min c'x subject to A x = b, x >= 0 with a two-phase tableau.
 Entering columns use Dantzig's rule until degeneracy stalls progress, then
-switch to Bland's rule, which guarantees termination.  Intended for the
-desk-scale instances this library produces (hundreds of columns); larger
-instances go through scipy's HiGHS interface instead.
+switch to Bland's rule, which guarantees termination.  It is independent
+of HiGHS, so the tests use it as the reference solver for the literal
+projection LP on desk-scale instances (hundreds of columns).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError
+from lowdp.errors import SolverError
 
 __all__ = ["solve_dense_lp"]
 

@@ -72,6 +72,15 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(back.points, data.points)
 
 
+def test_csv_writer_bytes_pinned_and_round_trip_exact(tmp_path):
+    points = np.array([[0.0, 5e-324, 0.1], [1.0, 1e-300, 0.0]])
+    path = tmp_path / "pinned.csv"
+    write_points_csv(path, points)
+    assert path.read_bytes() == b"x0,x1\r\n0.0,1.0\r\n5e-324,1e-300\r\n0.1,0.0\r\n"
+    back, _ = ingest(path)
+    assert back.points.tobytes() == points.tobytes()
+
+
 def _generate_args(inp, out, extra=()):
     return [
         "generate", "--input", str(inp), "--out", str(out),

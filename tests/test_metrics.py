@@ -12,11 +12,11 @@ from lowdp.metrics import (
     ground_distances,
     projection_diagnostics,
     wasserstein1,
-    wasserstein1_bruteforce,
     wasserstein1_sampled,
     wasserstein2,
 )
 from lowdp.noise import SeededGenerator, sample_symmetric_laplace_matrix
+from oracles import wasserstein1_bruteforce
 
 
 def test_measure_weight_validation():
@@ -104,24 +104,40 @@ def test_kantorovich_duality_gap_vanishes():
         assert slack.max() <= 1e-9
 
 
+def _exact_pmm_release(seed, trial):
+    """Input and PMM release (n = 128, d = 10, m != n) of one exact-pmm benchmark trial."""
+    gen = SeededGenerator(seed).split("perfbench").split("exact-pmm").split(f"input-{trial % 32}")
+    x = planted_subspace_dataset(128, 10, 2, gen)[0].points
+    config = PipelineConfig(
+        epsilon=1.0, seed=derive_seed(seed, "exact-pmm", "trial", trial), d_prime=2, subroutine="pmm"
+    )
+    y = generate(x, config).points
+    assert y.shape[1] != x.shape[1]
+    return x, y
+
+
+def _dual_value(res, x, y):
+    a, b = res.mass_scale // x.shape[1], res.mass_scale // y.shape[1]
+    return (a * res.potential_p.sum() + b * res.potential_q.sum()) / res.mass_scale
+
+
 def test_potentials_exactly_feasible_on_tight_inputs():
-    # two PMM releases (n = 128, d = 10, m != n) of the exact-pmm benchmark
-    # workload on which raw HiGHS row duals violated u_i + v_j <= c_ij by
-    # 4.8e-8 and 5.7e-8
+    # two releases on which raw HiGHS row duals violated u_i + v_j <= c_ij
+    # by 4.8e-8 and 5.7e-8
     for seed, trial in ((16, 64), (19, 44)):
-        gen = SeededGenerator(seed).split("perfbench").split("exact-pmm").split(f"input-{trial % 32}")
-        x = planted_subspace_dataset(128, 10, 2, gen)[0].points
-        config = PipelineConfig(
-            epsilon=1.0, seed=derive_seed(seed, "exact-pmm", "trial", trial), d_prime=2, subroutine="pmm"
-        )
-        y = generate(x, config).points
-        assert y.shape[1] != x.shape[1]
+        x, y = _exact_pmm_release(seed, trial)
         res = wasserstein1(x, y, "linf", detailed=True)
         slack = res.potential_p[:, None] + res.potential_q[None, :] - res.costs
         assert slack.max() <= 1e-12
-        a, b = res.mass_scale // x.shape[1], res.mass_scale // y.shape[1]
-        dual = (a * res.potential_p.sum() + b * res.potential_q.sum()) / res.mass_scale
-        assert abs(dual - res.value) <= 1e-9
+        assert abs(_dual_value(res, x, y) - res.value) <= 1e-9
+
+
+def test_transport_value_meets_its_dual_on_tight_input():
+    # at HiGHS's default dual feasibility tolerance the LP stopped 4.47e-10
+    # above the value of its exactly feasible dual on this release
+    x, y = _exact_pmm_release(19, 44)
+    res = wasserstein1(x, y, "linf", detailed=True)
+    assert abs(_dual_value(res, x, y) - res.value) <= 1e-12
 
 
 def _assignment_cases():

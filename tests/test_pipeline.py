@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,15 @@ def test_determinism_bitwise():
     b = generate(data, cfg)
     assert np.array_equal(a.points, b.points)
     assert a.provenance == b.provenance
+
+
+def test_provenance_config_is_the_full_config():
+    data, _ = planted_subspace_dataset(200, 4, 2, SeededGenerator(7))
+    for cfg in (
+        PipelineConfig(epsilon=1.5, d_prime=2, subroutine="pmm", seed=3),
+        PipelineConfig(epsilon=2.0, d_prime=2, subroutine="psmm", seed=4, delta_scale=3.0, m_target=50),
+    ):
+        assert generate(data, cfg).provenance["config"] == asdict(cfg)
 
 
 def test_auto_dimension_and_subroutine_dispatch():

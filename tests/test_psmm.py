@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from lowdp.errors import (
     InvalidParameterError,
@@ -20,9 +23,9 @@ from lowdp.psmm import (
     perturb_to_signed_measure,
     project_to_probability,
     run_psmm,
-    _bl_projection_lp_dense,
-    _bl_projection_lp_flow,
+    _grid_graph,
 )
+from oracles import anchor_distances, bl_projection_lp_dense
 
 
 def test_delta_formula_values():
@@ -170,7 +173,7 @@ def _enumerate_vertices_objective(nu, rho):
 def test_projection_identity_when_already_probability():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
     nu = SignedLatticeMeasure(np.array([0.25, 0.75]))
-    mu, obj = project_to_probability(nu, lat, method="simplex")
+    mu, obj = project_to_probability(nu, lat)
     assert obj == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(mu.weights, [0.25, 0.75], atol=1e-9)
 
@@ -178,14 +181,14 @@ def test_projection_identity_when_already_probability():
 def test_projection_mass_destruction_example():
     # two anchors at distance 0.5, nu = (0.7, 0.5): destroy 0.2 -> objective 0.2
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
-    mu, obj = project_to_probability(SignedLatticeMeasure(np.array([0.7, 0.5])), lat, method="simplex")
+    mu, obj = project_to_probability(SignedLatticeMeasure(np.array([0.7, 0.5])), lat)
     assert obj == pytest.approx(0.2, abs=1e-9)
     assert np.allclose(mu.weights.sum(), 1.0, atol=1e-9)
 
 
 def test_projection_mass_creation_example():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
-    mu, obj = project_to_probability(SignedLatticeMeasure(np.array([0.4, 0.4])), lat, method="flow")
+    mu, obj = project_to_probability(SignedLatticeMeasure(np.array([0.4, 0.4])), lat)
     assert obj == pytest.approx(0.2, abs=1e-9)
 
 
@@ -196,10 +199,8 @@ def test_projection_objective_matches_bfs_enumeration_oracle():
         ints = rng.choice(np.arange(-2, 3), size=(m, 1), replace=False)
         lat = Lattice(delta=0.8, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.3, 0.5, m), 2)
-        anchors = lat.anchors
-        rho = np.abs(anchors[:, None, 0] - anchors[None, :, 0])
-        _, obj = project_to_probability(SignedLatticeMeasure(nu), lat, method="simplex")
-        oracle = _enumerate_vertices_objective(nu, rho)
+        _, obj = project_to_probability(SignedLatticeMeasure(nu), lat)
+        oracle = _enumerate_vertices_objective(nu, anchor_distances(lat))
         assert obj == pytest.approx(oracle, abs=1e-7)
 
 
@@ -211,9 +212,8 @@ def test_projection_objective_matches_grid_plus_dual_oracle():
         ints = cand[rng.choice(cand.shape[0], m, replace=False)]
         lat = Lattice(delta=0.6, radius=2.0, d_prime=2, int_coords=ints)
         nu = np.round(rng.normal(0.3, 0.4, m), 2)
-        anchors = lat.anchors
-        rho = np.linalg.norm(anchors[:, None, :] - anchors[None, :, :], axis=2)
-        _, obj = project_to_probability(SignedLatticeMeasure(nu), lat, method="simplex")
+        rho = anchor_distances(lat)
+        _, obj = project_to_probability(SignedLatticeMeasure(nu), lat)
         oracle = min(
             _bl_distance_oracle(nu, mu, rho) for mu in _simplex_grid(m, 40)
         )
@@ -222,6 +222,8 @@ def test_projection_objective_matches_grid_plus_dual_oracle():
 
 
 def test_projection_flow_agrees_with_simplex():
+    # the grid-graph flow (HiGHS) against the literal LP with l1 costs
+    # (dense simplex); mu attains the objective
     rng = np.random.default_rng(5)
     for trial in range(20):
         m = int(rng.integers(2, 8))
@@ -233,12 +235,17 @@ def test_projection_flow_agrees_with_simplex():
             int_coords=cand[rng.choice(cand.shape[0], m, replace=False)],
         )
         nu = np.round(rng.normal(0.2, 0.5, m), 3)
-        _, o1 = project_to_probability(SignedLatticeMeasure(nu), lat, method="simplex")
-        _, o2 = project_to_probability(SignedLatticeMeasure(nu), lat, method="flow")
+        rho = anchor_distances(lat)
+        _, o1 = bl_projection_lp_dense(nu, rho)
+        mu, o2 = project_to_probability(SignedLatticeMeasure(nu), lat)
         assert o1 == pytest.approx(o2, abs=1e-7)
+        assert _bl_distance_oracle(nu, mu.weights, rho) == pytest.approx(o2, abs=1e-7)
 
 
-def test_projection_column_generation_stays_exact():
+def test_projection_transit_nodes_stay_exact():
+    # sparse hand-built lattices: most grid nodes on the shortest paths are
+    # zero-mass transit nodes, which must neither change the distances nor
+    # hold output mass
     rng = np.random.default_rng(6)
     for trial in range(8):
         m = int(rng.integers(6, 12))
@@ -250,11 +257,58 @@ def test_projection_column_generation_stays_exact():
             int_coords=cand[rng.choice(cand.shape[0], m, replace=False)],
         )
         nu = np.round(rng.normal(0.1, 0.5, m), 3)
-        anchors = lat.anchors
-        rho = np.linalg.norm(anchors[:, None, :] - anchors[None, :, :], axis=2)
-        _, dense_obj = _bl_projection_lp_dense(nu, rho)
-        _, lazy_obj = _bl_projection_lp_flow(nu, lat, arc_cap=10**6, init_arc_budget=1)
-        assert dense_obj == pytest.approx(lazy_obj, abs=1e-7)
+        assert _grid_graph(lat)[0] > m
+        _, dense_obj = bl_projection_lp_dense(nu, anchor_distances(lat))
+        mu, grid_obj = project_to_probability(SignedLatticeMeasure(nu), lat)
+        assert mu.weights.shape == (m,)
+        assert dense_obj == pytest.approx(grid_obj, abs=1e-7)
+
+
+@pytest.mark.parametrize("d_prime, delta", [(2, 0.3), (3, 0.4)])
+def test_grid_graph_distance_is_l1(d_prime, delta):
+    lat = build_lattice(1.0, delta, d_prime)
+    n_nodes, anchor_node, tails, heads = _grid_graph(lat)
+    assert n_nodes == lat.size  # a ball lattice has no transit nodes
+    assert (anchor_node == np.arange(lat.size)).all()
+    graph = coo_matrix((np.ones(tails.size), (tails, heads)), shape=(n_nodes, n_nodes))
+    hops = shortest_path(graph, directed=False, unweighted=True)
+    assert np.allclose(hops * lat.delta, anchor_distances(lat), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_prime", [2, 3])
+def test_l1_objective_sandwiches_l2_objective(d_prime):
+    # l2 <= l1 <= sqrt(d') l2 on every ground distance, slacks unchanged
+    rng = np.random.default_rng(20 + d_prime)
+    lat = build_lattice(1.0, 0.7, 2) if d_prime == 2 else build_lattice(0.5, 1.0, 3)
+    assert 10 <= lat.size <= 40
+    for trial in range(4):
+        nu = np.round(rng.normal(1.0 / lat.size, 2.0 / lat.size, lat.size), 3)
+        _, obj_l1 = project_to_probability(SignedLatticeMeasure(nu), lat)
+        _, obj_l2 = bl_projection_lp_dense(nu, anchor_distances(lat, "l2"))
+        assert obj_l2 <= obj_l1 + 1e-9
+        assert obj_l1 <= math.sqrt(d_prime) * obj_l2 + 1e-9
+
+
+def test_projection_closed_form_when_delta_at_least_two():
+    rng = np.random.default_rng(12)
+    for delta in (2.0, 2.5):
+        lat = build_lattice(1.5, delta, 2)
+        for trial in range(6):
+            nu = np.round(rng.normal(0.15, 0.3, lat.size), 3)
+            mu, obj = project_to_probability(SignedLatticeMeasure(nu), lat)
+            rho = anchor_distances(lat)
+            _, oracle = bl_projection_lp_dense(nu, rho)
+            assert obj == pytest.approx(oracle, abs=1e-9)
+            assert obj == pytest.approx(np.maximum(-nu, 0).sum() + abs(np.maximum(nu, 0).sum() - 1), abs=1e-12)
+            assert _bl_distance_oracle(nu, mu.weights, rho) == pytest.approx(obj, abs=1e-7)
+
+
+def test_closed_form_cuts_excess_from_smallest_cells():
+    lat = Lattice(delta=2.0, radius=2.0, d_prime=1, int_coords=np.array([[-1], [0], [1], [2]]))
+    mu, obj = project_to_probability(SignedLatticeMeasure(np.array([0.3, 0.6, 0.3, 0.2])), lat)
+    # excess 0.4: all 0.2 of cell 3, then 0.2 of cell 0 (the lower index of the 0.3 tie)
+    assert obj == pytest.approx(0.4, abs=1e-12)
+    assert np.allclose(mu.weights, [0.1, 0.6, 0.3, 0.0], atol=1e-12)
 
 
 def test_projection_output_is_probability_and_bounded_below():
@@ -264,7 +318,7 @@ def test_projection_output_is_probability_and_bounded_below():
         ints = rng.choice(np.arange(-3, 4), size=(m, 1), replace=False)
         lat = Lattice(delta=0.5, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.4, 0.7, m), 3)
-        mu, obj = project_to_probability(SignedLatticeMeasure(nu), lat, method="simplex")
+        mu, obj = project_to_probability(SignedLatticeMeasure(nu), lat)
         assert (mu.weights >= -1e-12).all()
         assert mu.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert obj >= abs(nu.sum() - 1.0) - 1e-9  # constant test function bound

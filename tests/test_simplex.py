@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from lowdp.errors import SolverError
-from lowdp.simplex import solve_dense_lp
+from simplex import solve_dense_lp
 
 
 def test_known_small_lp():
