@@ -123,28 +123,32 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def _evaluate_w1(x, y, metric, *, max_cells, sample_k, sample_repeats, seed):
-    """Exact W1 when the instance fits, else the labeled sampled estimator."""
+def _evaluate_w1(x, y, args, seed):
+    """Exact W1 when the instance fits, else the labeled sampled estimator.
+
+    Reads the shared evaluation flags (--metric, --eval-max-cells, --eval-k,
+    --eval-repeats) from args.
+    """
     if y.shape[1] == 0:
         return None, "empty"
     try:
-        value = wasserstein1(x, y, metric, max_cells=max_cells)
+        value = wasserstein1(x, y, args.metric, max_cells=args.eval_max_cells)
         return float(value), "exact"
     except SizeOverflowError:
         gen = SeededGenerator(seed).split("w1-estimate")
-        k = min(sample_k, x.shape[1], y.shape[1])
-        value = wasserstein1_sampled(x, y, gen, metric, k=k, repeats=sample_repeats)
+        k = min(args.eval_k, x.shape[1], y.shape[1])
+        value = wasserstein1_sampled(x, y, gen, args.metric, k=k, repeats=args.eval_repeats)
         return float(value), "sampled"
 
 
-def _config_from_args(args, m_target=None) -> PipelineConfig:
-    d_prime = args.dprime if args.dprime == "auto" else int(args.dprime)
+def _config_from_args(args, epsilon, seed, m_target=None) -> PipelineConfig:
+    """The run configuration of the shared pipeline flags, at one budget and seed."""
     return PipelineConfig(
-        epsilon=args.epsilon,
-        d_prime=d_prime,
+        epsilon=epsilon,
+        d_prime=args.dprime if args.dprime == "auto" else int(args.dprime),
         tau=args.tau,
         subroutine=args.subroutine,
-        seed=args.seed,
+        seed=seed,
         budget_split=args.budget_split,
         delta_mode=args.delta_mode,
         delta_scale=args.delta_scale,
@@ -155,7 +159,7 @@ def _config_from_args(args, m_target=None) -> PipelineConfig:
 
 def cmd_generate(args) -> int:
     dataset, preprocessing = ingest(args.input, rescale=args.rescale)
-    config = _config_from_args(args, m_target=args.m_target)
+    config = _config_from_args(args, args.epsilon, args.seed, args.m_target)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -176,15 +180,7 @@ def cmd_generate(args) -> int:
         "w1_estimator": None,
     }
     if args.evaluate:
-        value, estimator = _evaluate_w1(
-            dataset.points,
-            result.points,
-            args.metric,
-            max_cells=args.eval_max_cells,
-            sample_k=args.eval_k,
-            sample_repeats=args.eval_repeats,
-            seed=derive_seed(config.seed, "evaluate"),
-        )
+        value, estimator = _evaluate_w1(dataset.points, result.points, args, derive_seed(config.seed, "evaluate"))
         record["w1"] = value
         record["w1_estimator"] = estimator
         if estimator == "exact" and result.size * dataset.size <= args.eval_max_cells:
@@ -201,15 +197,7 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     original, _ = ingest(args.input, rescale=args.rescale)
     synthetic, _ = ingest(args.synthetic, rescale=False)
-    value, estimator = _evaluate_w1(
-        original.points,
-        synthetic.points,
-        args.metric,
-        max_cells=args.eval_max_cells,
-        sample_k=args.eval_k,
-        sample_repeats=args.eval_repeats,
-        seed=args.seed,
-    )
+    value, estimator = _evaluate_w1(original.points, synthetic.points, args, args.seed)
     report = {
         "record": "evaluation",
         "input": str(args.input),
@@ -231,29 +219,11 @@ def _sweep_trial(task):
     data_seed = derive_seed(args.seed, "data", n, epsilon, trial)
     run_seed = derive_seed(args.seed, "run", n, epsilon, trial)
     data, _ = planted_subspace_dataset(n, args.dim, args.planted_dprime, SeededGenerator(data_seed))
-    config = PipelineConfig(
-        epsilon=epsilon,
-        d_prime=args.dprime if args.dprime == "auto" else int(args.dprime),
-        tau=args.tau,
-        subroutine=args.subroutine,
-        seed=run_seed,
-        budget_split=args.budget_split,
-        delta_mode=args.delta_mode,
-        delta_scale=args.delta_scale,
-        zero_noise=args.zero_noise,
-    )
+    config = _config_from_args(args, epsilon, run_seed)
     t0 = time.perf_counter()
     result = generate(data, config)
     gen_seconds = time.perf_counter() - t0
-    w1, estimator = _evaluate_w1(
-        data.points,
-        result.points,
-        args.metric,
-        max_cells=args.eval_max_cells,
-        sample_k=args.eval_k,
-        sample_repeats=args.eval_repeats,
-        seed=derive_seed(args.seed, "eval", n, epsilon, trial),
-    )
+    w1, estimator = _evaluate_w1(data.points, result.points, args, derive_seed(args.seed, "eval", n, epsilon, trial))
     return {
         "n": n,
         "epsilon": epsilon,
@@ -354,8 +324,15 @@ def _add_eval_options(parser):
     parser.add_argument("--eval-repeats", type=int, default=2)
 
 
+class _EpsilonGridOnly(argparse.Action):
+    """Refuses ``sweep --epsilon``: the sweep's budgets come from --epsilon-grid."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error("sweep takes its budgets from --epsilon-grid (comma-separated), not --epsilon")
+
+
 def _add_pipeline_options(parser):
-    parser.add_argument("--epsilon", type=float, required=True, help="total privacy budget")
+    """Pipeline flags shared by generate and sweep; each declares its own budget flag."""
     parser.add_argument("--dprime", default="auto", help="target dimension, or 'auto'")
     parser.add_argument("--tau", type=float, default=0.1, help="spectrum-ratio threshold for auto d'")
     parser.add_argument("--subroutine", choices=("pmm", "psmm", "auto"), default="auto")
@@ -377,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="generate synthetic data from a CSV dataset")
     p_gen.add_argument("--input", required=True)
     p_gen.add_argument("--out", required=True, help="output directory")
+    p_gen.add_argument("--epsilon", type=float, required=True, help="total privacy budget")
     _add_pipeline_options(p_gen)
     p_gen.add_argument("--rescale", action="store_true", help="min-max rescale columns into [0, 1]")
     p_gen.add_argument("--m-target", type=int, default=None, dest="m_target")
@@ -401,18 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dim", type=int, required=True, help="ambient dimension d")
     p_sweep.add_argument("--planted-dprime", type=int, required=True, dest="planted_dprime")
     p_sweep.add_argument("--n-grid", required=True, dest="n_grid", help="comma-separated dataset sizes")
-    p_sweep.add_argument("--epsilon-grid", default="1.0", dest="epsilon_grid")
+    p_sweep.add_argument("--epsilon-grid", default="1.0", dest="epsilon_grid",
+                         help="comma-separated total privacy budgets")
+    p_sweep.add_argument("--epsilon", action=_EpsilonGridOnly, help=argparse.SUPPRESS)
     p_sweep.add_argument("--trials", type=int, default=10)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--dprime", default="auto")
-    p_sweep.add_argument("--tau", type=float, default=0.1)
-    p_sweep.add_argument("--subroutine", choices=("pmm", "psmm", "auto"), default="auto")
-    p_sweep.add_argument("--budget-split", choices=("three", "four"), default="three", dest="budget_split")
-    p_sweep.add_argument("--delta-mode", choices=("alg5", "proof"), default="alg5", dest="delta_mode")
-    p_sweep.add_argument("--delta-scale", type=float, default=1.0, dest="delta_scale")
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--zero-noise", action="store_true", dest="zero_noise")
-    p_sweep.add_argument("--epsilon", type=float, default=None, help=argparse.SUPPRESS)
+    _add_pipeline_options(p_sweep)
     _add_eval_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

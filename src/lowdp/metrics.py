@@ -15,6 +15,9 @@ Lipschitz certificate.
 
 For instances too large for the exact solvers there is a separate,
 explicitly approximate subsample estimator.
+
+``projection_diagnostics`` checks a run's projection-stability and
+eigenvalue-shift bounds from the d x d second moment (1/n) Z Z^T alone.
 """
 
 from __future__ import annotations
@@ -283,7 +286,7 @@ class ProjectionReport:
     """Per-run stability diagnostics for a noisy-subspace projection.
 
     ``residual`` is (1/n) ||Z - VV^T Z||_F^2, ``tail`` the summed trailing
-    eigenvalues of (1/n) Z Z^T, and ``noise_norm`` the spectral norm of the
+    eigenvalues of M = (1/n) Z Z^T, and ``noise_norm`` the spectral norm of the
     perturbation.  ``stability_ok`` asserts residual <= tail + 2 d' noise_norm
     and ``weyl_ok`` asserts the top-d' eigenvalue shifts are at most
     noise_norm, both up to the stated numerical slack.
@@ -299,7 +302,7 @@ class ProjectionReport:
 
 
 def projection_diagnostics(
-    z: np.ndarray,
+    second_moment: np.ndarray,
     noise: np.ndarray,
     basis: np.ndarray,
     d_prime: int,
@@ -308,23 +311,27 @@ def projection_diagnostics(
 ) -> ProjectionReport:
     """Check the projection-stability and eigenvalue-shift bounds on one run.
 
-    ``z`` is the (centered) d x n data, ``noise`` the symmetric perturbation
-    applied to (1/n) z z^T, and ``basis`` the d x d' projector columns taken
-    from the perturbed matrix's top eigenvectors.
+    ``second_moment`` is M = (1/n) Z Z^T of the (centered) d x n data Z,
+    ``noise`` the symmetric perturbation applied to M, and ``basis`` the
+    d x d' columns B taken from the perturbed matrix's top eigenvectors.
+    Only d x d work is done: with P = B B^T, the residual
+    (1/n) ||Z - P Z||_F^2 equals tr((I - P)^T (I - P) M) exactly.
     """
-    z = np.asarray(z, dtype=np.float64)
+    m_z = np.asarray(second_moment, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
-    d, n = z.shape
+    d = m_z.shape[0]
     d_prime = int(d_prime)
+    if m_z.shape != (d, d):
+        raise InvalidParameterError(f"second moment must be a square matrix, got {m_z.shape}")
     if basis.shape != (d, d_prime):
         raise InvalidParameterError(f"basis must be {d} x {d_prime}, got {basis.shape}")
-    m_z = z @ z.T / n
     m_z = (m_z + m_z.T) / 2.0
     eig_clean = np.sort(np.linalg.eigvalsh(m_z))[::-1]
     eig_noisy = np.sort(np.linalg.eigvalsh(m_z + noise))[::-1]
     noise_norm = float(np.linalg.norm(noise, 2)) if noise.size else 0.0
-    residual = float(np.linalg.norm(z - basis @ (basis.T @ z)) ** 2 / n)
+    off_subspace = np.eye(d) - basis @ basis.T
+    residual = float(np.trace(off_subspace.T @ off_subspace @ m_z))
     tail = float(eig_clean[d_prime:].sum())
     shift = float(np.abs(eig_clean[:d_prime] - eig_noisy[:d_prime]).max())
     return ProjectionReport(

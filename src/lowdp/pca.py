@@ -1,7 +1,9 @@
 """Centered covariance, its privatized version, and the noisy projection.
 
-The covariance path privatizes the (1/(n-1))-normalized centered covariance
-by adding a symmetric Laplace matrix at per-entry scale 3 d^2 / (eps n); the
+A ``Dataset`` computes its mean and its centered Gram matrix once, on first
+use, and every stage of a run reads them from there.  The covariance path
+privatizes the (1/(n-1))-normalized centered covariance by adding a
+symmetric Laplace matrix at per-entry scale 3 d^2 / (eps n); the
 projection path shifts the data by a privatized mean and projects onto the
 top eigenvectors of the noisy covariance.  Eigenvalues are ordered
 algebraically (the noise can make the matrix indefinite) and eigenvectors
@@ -11,6 +13,7 @@ carry a deterministic sign convention so repeated runs are identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +42,11 @@ _SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Dataset:
-    """n points in [0, 1]^d stored column-major: points[:, i] is the i-th point."""
+    """n points in [0, 1]^d stored column-major: points[:, i] is the i-th point.
+
+    ``mean`` and ``gram`` are computed on first use and then kept, so the
+    points must not be changed in place afterwards.
+    """
 
     points: np.ndarray
 
@@ -66,14 +73,20 @@ class Dataset:
     def size(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Per-coordinate mean of the points."""
+        return self.points.mean(axis=1)
 
-def _as_points(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.points
-    pts = np.asarray(data, dtype=np.float64)
-    if pts.ndim != 2:
-        raise InvalidParameterError(f"expected a d x n matrix, got shape {pts.shape}")
-    return pts
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Centered Gram matrix Z Z^T, Z the points minus their mean (not symmetrized)."""
+        centered = self.points - self.mean[:, None]
+        return centered @ centered.T
+
+
+def _as_dataset(data) -> Dataset:
+    return data if isinstance(data, Dataset) else Dataset(data)
 
 
 @dataclass(frozen=True)
@@ -123,16 +136,11 @@ class ProjectedDataset:
 
 
 def centered_covariance(data) -> CenteredCovariance:
-    """Compute the mean and the centered covariance matrix of the data."""
-    pts = _as_points(data)
-    d, n = pts.shape
-    if n < 2:
-        raise InsufficientDataError(f"centered covariance needs n >= 2 points, got {n}")
-    mean = pts.mean(axis=1)
-    centered = pts - mean[:, None]
-    m = centered @ centered.T / (n - 1)
+    """The mean and the centered covariance matrix of the data."""
+    dataset = _as_dataset(data)
+    m = dataset.gram / (dataset.size - 1)
     m = (m + m.T) / 2.0  # BLAS matmul is not exactly symmetric
-    return CenteredCovariance(matrix=m, mean=mean)
+    return CenteredCovariance(matrix=m, mean=dataset.mean)
 
 
 def _eigh_descending(matrix: np.ndarray):
@@ -148,11 +156,11 @@ def private_covariance(data, epsilon: float, gen: SeededGenerator, *, zero_noise
     ``zero_noise=True`` skips the perturbation for oracle comparisons; the
     output is then flagged non-private.
     """
-    pts = _as_points(data)
-    d, n = pts.shape
+    dataset = _as_dataset(data)
+    d, n = dataset.points.shape
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
-    cov = centered_covariance(pts)
+    cov = centered_covariance(dataset)
     sigma = NoiseScale(3.0 * d * d / (epsilon * n))
     if zero_noise:
         noisy = cov.matrix.copy()
@@ -223,18 +231,17 @@ def noisy_projection(
     l1 sensitivity of the mean is d/n).  Coordinates are the inner products
     against the sign-fixed top-d' eigenvectors of the private covariance.
     """
-    pts = _as_points(data)
-    d, n = pts.shape
+    dataset = _as_dataset(data)
+    d, n = dataset.points.shape
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
     basis = top_eigenvectors(cov, d_prime)
-    mean = pts.mean(axis=1)
     if zero_noise:
         lam = np.zeros(d)
     else:
         lam = np.asarray(sample_laplace(NoiseScale(d / (epsilon * n)), gen, size=d))
-    private_mean = mean + lam
-    coords = basis.T @ (pts - private_mean[:, None])
+    private_mean = dataset.mean + lam
+    coords = basis.T @ (dataset.points - private_mean[:, None])
     radius = float(np.sqrt(d) + np.linalg.norm(private_mean))
     return ProjectedDataset(
         basis=basis,

@@ -50,7 +50,6 @@ class PipelineConfig:
     delta_scale: float = 1.0
     zero_noise: bool = False
     m_target: int = None            # psmm output size; defaults to n
-    pmm_point_mode: str = "uniform"
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -70,8 +69,6 @@ class PipelineConfig:
                 raise InvalidParameterError(f"tau must be in (0, 1), got {self.tau}")
         if not self.delta_scale > 0:
             raise InvalidParameterError(f"delta_scale must be positive, got {self.delta_scale}")
-        if self.pmm_point_mode not in ("uniform", "leaf-center"):
-            raise InvalidParameterError(f"pmm_point_mode must be uniform|leaf-center, got {self.pmm_point_mode!r}")
 
     def stage_fractions(self) -> dict:
         """Budget shares per stage; exact rationals that sum to one."""
@@ -100,11 +97,12 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     """Run the full pipeline on a dataset in [0, 1]^d.
 
     Deterministic given (data, config): all randomness derives from
-    config.seed through named sub-streams, one per stage.
+    config.seed through named sub-streams, one per stage.  The data mean and
+    centered Gram are computed once (on the Dataset) and feed the covariance
+    release, the projection's centering, the add-back and the diagnostics.
     """
     dataset = data if isinstance(data, Dataset) else Dataset(np.asarray(data, dtype=np.float64))
-    pts = dataset.points
-    d, n = pts.shape
+    d, n = dataset.points.shape
 
     fractions = config.stage_fractions()
     eps = {name: config.epsilon * float(frac) for name, frac in fractions.items()}
@@ -116,7 +114,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
 
     root = SeededGenerator(config.seed)
 
-    cov = private_covariance(pts, eps["covariance"], root.split("covariance"), zero_noise=config.zero_noise)
+    cov = private_covariance(dataset, eps["covariance"], root.split("covariance"), zero_noise=config.zero_noise)
     if config.d_prime == "auto":
         d_prime = select_dimension(cov, config.tau, d)
     else:
@@ -125,7 +123,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
         d_prime = config.d_prime
 
     projected = noisy_projection(
-        pts, cov, d_prime, eps["projection"], root.split("projection"), zero_noise=config.zero_noise
+        dataset, cov, d_prime, eps["projection"], root.split("projection"), zero_noise=config.zero_noise
     )
 
     subroutine = config.subroutine
@@ -140,7 +138,6 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
             n,
             sub_gen,
             zero_noise=config.zero_noise,
-            mode=config.pmm_point_mode,
         )
     else:
         coords_out, sub_info = run_psmm(
@@ -158,10 +155,10 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
 
     # per-run diagnostics: the stability/eigenvalue-shift inequalities for the
     # effective perturbation between the noisy matrix and (1/n) Z Z^T
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    effective_noise = cov.matrix - centered @ centered.T / n
+    second_moment = dataset.gram / n
+    effective_noise = cov.matrix - second_moment
     effective_noise = (effective_noise + effective_noise.T) / 2.0
-    diag = projection_diagnostics(centered, effective_noise, projected.basis, d_prime)
+    diag = projection_diagnostics(second_moment, effective_noise, projected.basis, d_prime)
 
     lifted = projected.basis @ coords_out
     if config.budget_split == "four":
@@ -170,19 +167,16 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
         else:
             scale = NoiseScale(d / (eps["add_back"] * n))
             add_noise = np.asarray(sample_laplace(scale, root.split("add-back"), size=d))
-        add_back_mean = pts.mean(axis=1) + add_noise
+        add_back_mean = dataset.mean + add_noise
     else:
         add_back_mean = projected.private_mean  # saved private mean, no extra budget
     pre_clamp = lifted + add_back_mean[:, None]
     synthetic = clamp(pre_clamp)
 
     m = synthetic.shape[1]
-    if m:
-        centered_out = pre_clamp - add_back_mean[:, None]
-        perp = centered_out - projected.basis @ (projected.basis.T @ centered_out)
-        on_subspace = bool(np.linalg.norm(perp, axis=0).max() <= 1e-10)
-    else:
-        on_subspace = True
+    centered_out = pre_clamp - add_back_mean[:, None]
+    perp = centered_out - projected.basis @ (projected.basis.T @ centered_out)
+    on_subspace = bool(np.linalg.norm(perp, axis=0).max(initial=0.0) <= 1e-10)
     gram_gap = np.abs(projected.basis.T @ projected.basis - np.eye(d_prime)).max()
     coord_norms = np.linalg.norm(projected.coords, axis=0)
     checks = {

@@ -6,6 +6,10 @@ Counts at every node of every level receive independent integer Laplace
 noise with the level-dependent scales sigma_j = (1/eps) 2^{(1/2)(1-1/d')(r-j)},
 are clipped at zero, and are then repaired top-down into a consistent
 nonnegative integer tree whose leaves define the output measure.
+
+All cell geometry (node and leaf boxes, point classification, the largest
+leaf side) is read from one set of per-axis edges: the 1-D (lo + hi)/2
+bisection of [-R, R], once per split on that axis.
 """
 
 from __future__ import annotations
@@ -54,35 +58,53 @@ class CountTree:
     consistent: list = None
     scales: np.ndarray = None
 
+    def cell_edges(self) -> list:
+        """Per-axis cell edges: the one place the partition's midpoints are computed.
+
+        Axis a is split at levels a, a + d', a + 2d', ...; each split halves
+        every current interval at (lo + hi) / 2.  Only those levels move a
+        box's bounds on axis a, so ``edges[a]`` (the 2^k + 1 sorted bounds of
+        the k-fold bisection of [-R, R]) holds every node's bounds on axis a.
+        """
+        edges = []
+        for axis in range(self.d_prime):
+            edge = np.array([-self.radius, self.radius])
+            for _ in range(axis, self.depth, self.d_prime):
+                finer = np.empty(2 * edge.size - 1)
+                finer[0::2] = edge
+                finer[1::2] = (edge[:-1] + edge[1:]) / 2.0
+                edge = finer
+            edges.append(edge)
+        return edges
+
+    def _leaf_bounds(self, leaves) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of the given leaf indices, gathered from the cell edges."""
+        edges = self.cell_edges()
+        leaves = np.asarray(leaves)
+        cells = [np.zeros_like(leaves) for _ in edges]
+        for level in range(self.depth):  # a leaf's bit at each level extends its cell on that axis
+            axis = level % self.d_prime
+            cells[axis] = (cells[axis] << 1) | ((leaves >> (self.depth - 1 - level)) & 1)
+        lo = np.stack([edge[cell] for edge, cell in zip(edges, cells)], axis=-1)
+        hi = np.stack([edge[cell + 1] for edge, cell in zip(edges, cells)], axis=-1)
+        return lo, hi
+
     def box(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) bounds of node theta, a sequence of 0/1 bits."""
+        """(lo, hi) bounds of node theta, a sequence of 0/1 bits.
+
+        The node spans its first leaf (theta 0...0) to its last (theta 1...1).
+        """
         bits = [int(b) for b in theta]
         if len(bits) > self.depth or any(b not in (0, 1) for b in bits):
             raise InvalidParameterError(f"invalid node index {theta!r} for depth {self.depth}")
-        lo = np.full(self.d_prime, -self.radius)
-        hi = np.full(self.d_prime, self.radius)
-        for level, bit in enumerate(bits):
-            axis = level % self.d_prime
-            mid = (lo[axis] + hi[axis]) / 2.0
-            if bit:
-                lo[axis] = mid
-            else:
-                hi[axis] = mid
-        return lo, hi
+        below = self.depth - len(bits)
+        first = int("".join(map(str, bits)) or "0", 2) << below
+        lo, hi = self._leaf_bounds([first, first + (1 << below) - 1])
+        return lo[0], hi[1]
 
     def leaf_boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds of all 2^depth leaves, theta-lexicographic, shape (m, d')."""
-        n_leaves = 1 << self.depth
-        lo = np.full((n_leaves, self.d_prime), -self.radius)
-        hi = np.full((n_leaves, self.d_prime), self.radius)
-        idx = np.arange(n_leaves)
-        for level in range(self.depth):
-            axis = level % self.d_prime
-            bit = (idx >> (self.depth - 1 - level)) & 1
-            mid = (lo[:, axis] + hi[:, axis]) / 2.0
-            lo[:, axis] = np.where(bit, mid, lo[:, axis])
-            hi[:, axis] = np.where(bit, hi[:, axis], mid)
-        return lo, hi
+        return self._leaf_bounds(np.arange(1 << self.depth))
 
     @property
     def total(self) -> int:
@@ -126,24 +148,19 @@ def _level_scales(epsilon: float, depth: int, d_prime: int) -> np.ndarray:
 
 
 def _classify(tree: CountTree, coords: np.ndarray) -> np.ndarray:
-    """Leaf index of each coordinate column, by recursive midpoint comparison.
+    """Leaf index of each coordinate column.
 
-    Uses the same (lo + hi)/2 arithmetic as the box bounds, so membership is
-    bit-consistent with the boxes: x < mid goes to child 0, x >= mid to
-    child 1 (which closes the global upper face).
+    Per axis, the cell is the number of interior edges <= x: x below a
+    midpoint goes to child 0, x at or above it to child 1 (which closes the
+    global upper face).  The leaf index interleaves the per-axis cell bits
+    level by level.
     """
-    pts = coords.T  # (n, d')
-    n = pts.shape[0]
-    lo = np.full((n, tree.d_prime), -tree.radius)
-    hi = np.full((n, tree.d_prime), tree.radius)
-    idx = np.zeros(n, dtype=np.int64)
-    for level in range(tree.depth):
+    cells = [np.searchsorted(edge[1:-1], x, side="right") for edge, x in zip(tree.cell_edges(), coords)]
+    idx = np.zeros(coords.shape[1], dtype=np.int64)
+    for level in reversed(range(tree.depth)):  # the deepest split on an axis holds its cell's last bit
         axis = level % tree.d_prime
-        mid = (lo[:, axis] + hi[:, axis]) / 2.0
-        upper = pts[:, axis] >= mid
-        idx = (idx << 1) | upper
-        lo[:, axis] = np.where(upper, mid, lo[:, axis])
-        hi[:, axis] = np.where(upper, hi[:, axis], mid)
+        idx |= (cells[axis] & 1) << (tree.depth - 1 - level)
+        cells[axis] >>= 1
     return idx
 
 
@@ -159,14 +176,15 @@ def noisy_counts(
 
     Noise at level j is integer Laplace at scale sigma_j, independent across
     all nodes of all levels (the root included); perturbed counts are
-    clipped at zero.  Points outside the root box raise OutOfDomainError.
+    clipped at zero.  Points outside the root box, or with a NaN coordinate,
+    raise OutOfDomainError.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[0] != tree.d_prime:
         raise InvalidParameterError(f"coords must be {tree.d_prime} x n, got {coords.shape}")
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
-    outside = np.nonzero((np.abs(coords) > tree.radius).any(axis=0))[0]
+    outside = np.nonzero(~(np.abs(coords) <= tree.radius).all(axis=0))[0]  # NaN counts as outside
     if outside.size:
         raise OutOfDomainError(
             f"point {int(outside[0])} lies outside the root box [-R, R]^d', R={tree.radius}"
@@ -278,8 +296,7 @@ def sample_synthetic(tree: CountTree, gen: SeededGenerator, *, mode: str = "unif
 
 def max_leaf_side(tree: CountTree) -> float:
     """Largest leaf side length (the leaf diameter in the sup metric)."""
-    lo, hi = tree.leaf_boxes()
-    return float((hi - lo).max())
+    return max(float(np.diff(edge).max()) for edge in tree.cell_edges())
 
 
 def run_pmm(

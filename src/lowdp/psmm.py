@@ -126,7 +126,7 @@ def build_lattice(radius: float, delta: float, d_prime: int, *, cap: int = DEFAU
     if side ** d_prime > 8 * cap:
         raise LatticeTooLargeError(
             f"lattice grid would enumerate {side ** d_prime} candidate anchors "
-            f"(cap {cap}); increase delta"
+            f"(cap {cap}); raise delta_scale (--delta-scale) for a coarser lattice"
         )
     axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * d_prime
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d_prime)
@@ -134,7 +134,8 @@ def build_lattice(radius: float, delta: float, d_prime: int, *, cap: int = DEFAU
     anchors = grid[norms <= bound]
     if anchors.shape[0] > cap:
         raise LatticeTooLargeError(
-            f"lattice has {anchors.shape[0]} anchors (cap {cap}); increase delta"
+            f"lattice has {anchors.shape[0]} anchors (cap {cap}); "
+            "raise delta_scale (--delta-scale) for a coarser lattice"
         )
     return Lattice(delta=float(delta), radius=float(radius), d_prime=d_prime, int_coords=anchors)
 
@@ -334,7 +335,6 @@ def run_psmm(
     delta_mode: str = "alg5",
     delta_scale: float = 1.0,
     m_target: int = None,
-    anchor_cap: int = DEFAULT_ANCHOR_CAP,
 ) -> tuple[np.ndarray, dict]:
     """Full subroutine: lattice, noisy counts, LP projection, rounding."""
     d_prime = int(np.asarray(coords).shape[0])
@@ -342,7 +342,7 @@ def run_psmm(
         raise InvalidParameterError(f"delta_scale must be positive, got {delta_scale}")
     delta = lattice_delta(d_ambient, d_prime, epsilon, n, mode=delta_mode, radius=radius) * delta_scale
     delta = min(delta, 2.0 * radius)
-    lattice = build_lattice(radius, delta, d_prime, cap=anchor_cap)
+    lattice = build_lattice(radius, delta, d_prime)
     counts = cell_counts(coords, lattice)
     nu = perturb_to_signed_measure(counts, epsilon, n, gen, zero_noise=zero_noise)
     mu, objective = project_to_probability(nu, lattice)

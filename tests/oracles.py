@@ -1,4 +1,4 @@
-"""Brute-force and dense-LP oracles the tests check the library against."""
+"""Brute-force, dense-LP and recursive oracles the tests check the library against."""
 
 import itertools
 import math
@@ -52,3 +52,53 @@ def bl_projection_lp_dense(nu: np.ndarray, rho: np.ndarray):
     b_eq = np.concatenate([nu, [1.0]])
     x, objective = solve_dense_lp(cost, a_eq, b_eq)
     return x[:m], objective
+
+
+def box_by_recursion(tree, theta):
+    """(lo, hi) of node theta by the n-D midpoint recursion, one level at a time."""
+    lo = np.full(tree.d_prime, -tree.radius)
+    hi = np.full(tree.d_prime, tree.radius)
+    for level, bit in enumerate(int(b) for b in theta):
+        axis = level % tree.d_prime
+        mid = (lo[axis] + hi[axis]) / 2.0
+        if bit:
+            lo[axis] = mid
+        else:
+            hi[axis] = mid
+    return lo, hi
+
+
+def leaf_boxes_by_recursion(tree):
+    """Bounds of all 2^depth leaves by the n-D midpoint recursion, shape (m, d')."""
+    n_leaves = 1 << tree.depth
+    lo = np.full((n_leaves, tree.d_prime), -tree.radius)
+    hi = np.full((n_leaves, tree.d_prime), tree.radius)
+    idx = np.arange(n_leaves)
+    for level in range(tree.depth):
+        axis = level % tree.d_prime
+        bit = (idx >> (tree.depth - 1 - level)) & 1
+        mid = (lo[:, axis] + hi[:, axis]) / 2.0
+        lo[:, axis] = np.where(bit, mid, lo[:, axis])
+        hi[:, axis] = np.where(bit, hi[:, axis], mid)
+    return lo, hi
+
+
+def classify_by_recursion(tree, coords):
+    """Leaf index of each column of coords (d' x n) by recursive midpoint comparison.
+
+    x < mid goes to child 0 and x >= mid to child 1, with the same
+    (lo + hi) / 2 arithmetic as the box bounds.
+    """
+    pts = coords.T
+    n = pts.shape[0]
+    lo = np.full((n, tree.d_prime), -tree.radius)
+    hi = np.full((n, tree.d_prime), tree.radius)
+    idx = np.zeros(n, dtype=np.int64)
+    for level in range(tree.depth):
+        axis = level % tree.d_prime
+        mid = (lo[:, axis] + hi[:, axis]) / 2.0
+        upper = pts[:, axis] >= mid
+        idx = (idx << 1) | upper
+        lo[:, axis] = np.where(upper, mid, lo[:, axis])
+        hi[:, axis] = np.where(upper, hi[:, axis], mid)
+    return idx

@@ -130,7 +130,7 @@ def test_criterion_3_projection_stability_invariants():
         noise = sample_symmetric_laplace_matrix(d, sigma, gen.split(f"a{trial}"))
         perturbed = z @ z.T / n + noise
         basis = np.linalg.eigh((perturbed + perturbed.T) / 2)[1][:, ::-1][:, :d_prime]
-        report = projection_diagnostics(z, noise, basis, d_prime, slack=1e-9)
+        report = projection_diagnostics(z @ z.T / n, noise, basis, d_prime, slack=1e-9)
         all_ok &= report.stability_ok and report.weyl_ok
     assert _report(3, all_ok, "stability + eigenvalue-shift bounds on 100 random instances")
 

@@ -218,6 +218,31 @@ def test_sweep_deterministic_wrt_jobs(tmp_path):
     assert rows1 == rows2
 
 
+def test_sweep_rejects_epsilon_and_names_epsilon_grid(tmp_path, capsys):
+    out = tmp_path / "sweep-eps"
+    code = main([
+        "sweep", "--out", str(out), "--dim", "4", "--planted-dprime", "2",
+        "--n-grid", "128", "--trials", "1", "--dprime", "2", "--subroutine", "pmm",
+        "--epsilon", "5",
+    ])
+    assert code == 2
+    assert not out.exists()
+    assert "--epsilon-grid" in capsys.readouterr().err
+
+
+def test_sweep_runs_at_epsilon_grid_budgets(tmp_path):
+    out = tmp_path / "sweep-grid"
+    code = main([
+        "sweep", "--out", str(out), "--dim", "4", "--planted-dprime", "2",
+        "--n-grid", "128", "--trials", "1", "--dprime", "2", "--subroutine", "pmm",
+        "--epsilon-grid", "5", "--eval-k", "64",
+    ])
+    assert code == 0
+    with (out / "results.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert [float(row["epsilon"]) for row in rows] == [5.0]
+
+
 def test_run_record_replays_to_identical_output(tmp_path):
     # the record's config snapshot + seed reproduce the synthetic file exactly
     from lowdp.pipeline import PipelineConfig, generate

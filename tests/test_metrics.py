@@ -250,7 +250,7 @@ def test_diagnostics_zero_noise_exact_subspace():
     u, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     z = u @ rng.standard_normal((2, 40))
     basis = _top_eigenvectors_of(z @ z.T / 40, 2)
-    report = projection_diagnostics(z, np.zeros((6, 6)), basis, 2)
+    report = projection_diagnostics(z @ z.T / 40, np.zeros((6, 6)), basis, 2)
     assert report.residual < 1e-12
     assert report.stability_ok and report.weyl_ok
 
@@ -259,7 +259,7 @@ def test_diagnostics_zero_noise_residual_equals_tail():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((5, 30))
     basis = _top_eigenvectors_of(z @ z.T / 30, 2)
-    report = projection_diagnostics(z, np.zeros((5, 5)), basis, 2)
+    report = projection_diagnostics(z @ z.T / 30, np.zeros((5, 5)), basis, 2)
     assert report.residual == pytest.approx(report.tail, abs=1e-9)
 
 
@@ -273,6 +273,28 @@ def test_diagnostics_hold_on_random_noisy_instances():
         z = rng.random((d, n)) - 0.5
         noise = sample_symmetric_laplace_matrix(d, 0.1, gen.split(f"a{trial}"))
         basis = _top_eigenvectors_of(z @ z.T / n + noise, d_prime)
-        report = projection_diagnostics(z, noise, basis, d_prime)
+        report = projection_diagnostics(z @ z.T / n, noise, basis, d_prime)
         assert report.stability_ok
         assert report.weyl_ok
+
+
+def test_diagnostics_gram_residual_matches_direct_residual():
+    # criterion-3-style instances: the d x d trace identity against the d x n residual
+    rng = np.random.default_rng(34)
+    gen = SeededGenerator(34)
+    for trial in range(200):
+        d = int(rng.integers(3, 13))
+        d_prime = int(rng.integers(1, d))
+        n = int(rng.integers(d + 2, 80))
+        z = (rng.random((d, n)) - 0.5) * 10.0 ** rng.uniform(-1.5, 0.5)
+        noise = sample_symmetric_laplace_matrix(d, 10.0 ** rng.uniform(-3.0, 0.0), gen.split(f"a{trial}"))
+        perturbed = z @ z.T / n + noise
+        basis = np.linalg.eigh((perturbed + perturbed.T) / 2)[1][:, ::-1][:, :d_prime]
+        report = projection_diagnostics(z @ z.T / n, noise, basis, d_prime, slack=1e-9)
+        direct = float(np.linalg.norm(z - basis @ (basis.T @ z)) ** 2 / n)
+        assert report.residual == pytest.approx(direct, rel=1e-12, abs=0.0)
+        bound = report.tail + 2.0 * d_prime * report.noise_norm + report.slack
+        assert report.stability_ok == (direct <= bound)
+        clean = (z @ z.T / n + (z @ z.T / n).T) / 2.0
+        shift = np.abs(np.linalg.eigvalsh(clean)[::-1] - np.linalg.eigvalsh(clean + noise)[::-1])[:d_prime].max()
+        assert report.weyl_ok == (shift <= report.noise_norm + report.slack)

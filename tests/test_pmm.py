@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import box_by_recursion, classify_by_recursion, leaf_boxes_by_recursion
 
 from lowdp.errors import InvalidParameterError, InvalidRegimeError, OutOfDomainError
 from lowdp.metrics import wasserstein1
 from lowdp.noise import SeededGenerator
 from lowdp.pmm import (
+    _classify,
     build_partition,
     depth_and_scales,
     enforce_consistency,
@@ -95,6 +99,12 @@ def test_counts_out_of_domain_names_the_point():
     coords = np.array([[0.0, 3.0], [0.0, 0.0]])
     with pytest.raises(OutOfDomainError, match="point 1"):
         noisy_counts(build_partition(1.0, 2, 2), coords, 1.0, SeededGenerator(0))
+
+
+def test_counts_reject_nan_coordinates():
+    coords = np.array([[0.1, np.nan, 0.3], [0.2, 0.5, 0.4]])
+    with pytest.raises(OutOfDomainError, match="point 1"):
+        noisy_counts(build_partition(1.0, 2, 4), coords, 1.0, SeededGenerator(0))
 
 
 def test_zero_noise_counts_pass_through():
@@ -226,3 +236,37 @@ def test_max_leaf_side_shrinks_with_depth():
     assert deep < shallow
     assert shallow == pytest.approx(1.0)
     assert deep == pytest.approx(0.25)
+
+
+def _random_trees(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield build_partition(float(rng.uniform(0.5, 20.0)), int(rng.integers(1, 4)), int(rng.integers(0, 15))), rng
+
+
+def _edge_and_face_points(tree, lo, hi, rng):
+    """Random points, points on every cell edge of each axis, and the corners of [-R, R]^d'."""
+    r, dp = tree.radius, tree.d_prime
+    blocks = [rng.uniform(-r, r, (dp, 500))]
+    for axis in range(dp):
+        edges = np.unique(np.concatenate([lo[:, axis], hi[:, axis]]))
+        block = rng.uniform(-r, r, (dp, edges.size))
+        block[axis] = edges
+        blocks.append(block)
+    blocks.append(np.array(list(itertools.product((-r, r), repeat=dp))).T)
+    return np.concatenate(blocks, axis=1)
+
+
+def test_cell_geometry_matches_midpoint_recursion_bitwise():
+    for tree, rng in _random_trees(300, 40):
+        lo, hi = leaf_boxes_by_recursion(tree)
+        got_lo, got_hi = tree.leaf_boxes()
+        assert got_lo.tobytes() == lo.tobytes() and got_hi.tobytes() == hi.tobytes()
+        assert max_leaf_side(tree) == float((hi - lo).max())
+        coords = _edge_and_face_points(tree, lo, hi, rng)
+        assert np.array_equal(_classify(tree, coords), classify_by_recursion(tree, coords))
+        for length in rng.integers(0, tree.depth + 1, size=5):
+            theta = rng.integers(0, 2, size=length).tolist()
+            want_lo, want_hi = box_by_recursion(tree, theta)
+            got_lo, got_hi = tree.box(theta)
+            assert got_lo.tobytes() == want_lo.tobytes() and got_hi.tobytes() == want_hi.tobytes()

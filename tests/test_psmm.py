@@ -61,7 +61,7 @@ def test_lattice_covers_boundary_floor_anchor():
 
 
 def test_lattice_cap_enforced():
-    with pytest.raises(LatticeTooLargeError):
+    with pytest.raises(LatticeTooLargeError, match="delta_scale"):
         build_lattice(1.0, 1e-4, 3, cap=1000)
 
 
