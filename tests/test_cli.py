@@ -153,6 +153,15 @@ def test_generate_with_evaluation(tmp_path):
     assert record["w1_estimator"] == "exact"
 
 
+def test_generate_rejects_nonpositive_eval_k(tmp_path):
+    data, _ = planted_subspace_dataset(80, 4, 2, SeededGenerator(4))
+    inp = tmp_path / "input.csv"
+    write_points_csv(inp, data.points)
+    # a 10-cell limit sends the evaluation to the sampled estimator
+    code = main(_generate_args(inp, tmp_path / "eval", extra=("--evaluate", "--eval-max-cells", "10", "--eval-k", "0")))
+    assert code == 2
+
+
 def test_evaluate_command(tmp_path):
     data, _ = planted_subspace_dataset(40, 3, 2, SeededGenerator(5))
     a = tmp_path / "a.csv"

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import lowdp.metrics
 from lowdp import PipelineConfig, generate, planted_subspace_dataset
 from lowdp.cli import derive_seed
-from lowdp.errors import InvalidParameterError, SizeOverflowError
+from lowdp.errors import InvalidParameterError, SizeOverflowError, SolverError
 from lowdp.metrics import (
     EmpiricalMeasure,
     ground_distances,
@@ -218,6 +219,140 @@ def test_sampled_estimator_pinned_value():
     y = np.round(rng.random((4, 500)) * 4) / 4
     value = wasserstein1_sampled(x, y, SeededGenerator(21), "linf", k=300, repeats=3)
     assert value.hex() == "0x1.4df4fa6b9d887p-3"
+
+
+@pytest.mark.parametrize("bad", [{"k": 0}, {"k": -3}, {"repeats": 0}, {"k": 2.5}])
+def test_sampled_estimator_rejects_nonpositive_sizes(bad):
+    x = np.random.default_rng(17).random((2, 10))
+    with pytest.raises(InvalidParameterError):
+        wasserstein1_sampled(x, x, SeededGenerator(1), **bad)
+
+
+def test_sampled_estimator_rejects_non_finite_atoms():
+    x = np.random.default_rng(17).random((2, 64))
+    y = np.zeros((2, 64))
+    y[0, :5] = np.nan
+    with pytest.raises(InvalidParameterError, match="finite"):
+        wasserstein1_sampled(x, y, SeededGenerator(1), k=64, repeats=1)
+
+
+def _tie_heavy_instances():
+    """Seeded (units, atoms, counts, metric): k unit draws against K atoms."""
+    rng = np.random.default_rng(18)
+    for trial in range(120):
+        k = int(rng.integers(1, 60))
+        d = 1 if trial % 4 == 0 else int(rng.integers(2, 5))
+        if trial % 10 == 0:
+            n_atoms = 1
+        elif trial % 10 == 1:
+            n_atoms = k
+        else:
+            n_atoms = int(rng.integers(1, min(k, 12) + 1))
+        # grid coordinates make many exact cost ties
+        atoms = np.unique(np.round(rng.random((d, n_atoms)) * 3) / 3, axis=1)
+        n_atoms = atoms.shape[1]
+        if n_atoms > k:
+            continue
+        counts = np.bincount(np.concatenate([np.arange(n_atoms), rng.integers(0, n_atoms, k - n_atoms)]))
+        units = np.round(rng.random((d, k)) * 4) / 4
+        yield units, atoms, counts, "linf" if trial % 2 else "l2"
+
+
+def _expanded_assignment(units, atoms, counts, metric):
+    """W1 of the k draws against the atoms repeated by count, unjittered k x k assignment."""
+    costs = ground_distances(units, np.repeat(atoms, counts, axis=1), metric)
+    rows, cols = linear_sum_assignment(costs)
+    return costs[rows, cols].mean()
+
+
+def test_atom_transport_matches_expanded_assignment():
+    sizes = []
+    for units, atoms, counts, metric in _tie_heavy_instances():
+        sizes.append((units.shape[1], counts.size))
+        costs = ground_distances(units, atoms, metric)
+        atom, v = lowdp.metrics._transport_to_atoms(costs, counts)
+        k = units.shape[1]
+        assert (np.bincount(atom, minlength=counts.size) == counts).all()
+        primal = costs[np.arange(k), atom].mean()
+        assert abs(primal - _expanded_assignment(units, atoms, counts, metric)) <= 1e-12
+        # u is the c-transform of v, so u_i <= c_ij - v_j holds exactly
+        u = (costs - v).min(axis=1)
+        assert (u[:, None] <= costs - v).all()
+        assert abs(primal - (u.mean() + counts @ v / k)) <= 1e-12
+    assert len(sizes) >= 100
+    assert any(n_atoms == 1 < k for k, n_atoms in sizes) and any(n_atoms == k > 1 for k, n_atoms in sizes)
+
+
+def test_atom_transport_matches_permutation_oracle():
+    rng = np.random.default_rng(19)
+    for trial in range(60):
+        k = int(rng.integers(1, 8))
+        metric = "linf" if trial % 2 else "l2"
+        units = np.round(rng.random((2, k)) * 2) / 2
+        atoms, counts = np.unique(np.round(rng.random((2, k)) * 2) / 2, axis=1, return_counts=True)
+        costs = ground_distances(units, atoms, metric)
+        atom, _ = lowdp.metrics._transport_to_atoms(costs, counts)
+        oracle = wasserstein1_bruteforce(units, np.repeat(atoms, counts, axis=1), metric)
+        assert abs(costs[np.arange(k), atom].mean() - oracle) <= 1e-12
+
+
+def _sampled_assignment_reference(x, y, seed, metric, k, repeats):
+    """The estimator's own draws, each pair solved by the unjittered k x k assignment."""
+    p, q = EmpiricalMeasure.from_points(x), EmpiricalMeasure.from_points(y)
+    values = []
+    for rep in range(repeats):
+        sub = SeededGenerator(seed).split(f"w1-sample-{rep}")
+        xs = lowdp.metrics._draw_atoms(p, k, sub.split("p"))
+        ys = lowdp.metrics._draw_atoms(q, k, sub.split("q"))
+        costs = ground_distances(xs, ys, metric)
+        rows, cols = linear_sum_assignment(costs)
+        values.append(costs[rows, cols].mean())
+    return float(np.mean(values))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the assignment solver must not run on collapsed draws")
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_sampled_estimator_collapses_tie_heavy_draws(metric, monkeypatch):
+    rng = np.random.default_rng(20)
+    x = rng.random((3, 600))
+    y = np.repeat(rng.random((3, 4)), 150, axis=1)  # 4 distinct atoms
+    # the collapsed side may be either measure
+    for p, q in ((x, y), (y, x)):
+        expected = _sampled_assignment_reference(p, q, 22, metric, 256, 2)
+        with monkeypatch.context() as m:
+            m.setattr(lowdp.metrics, "linear_sum_assignment", _refuse)
+            value = wasserstein1_sampled(p, q, SeededGenerator(22), metric, k=256, repeats=2)
+        assert abs(value - expected) <= 1e-12
+
+
+def test_sampled_estimator_keeps_assignment_on_distinct_atoms(monkeypatch):
+    rng = np.random.default_rng(21)
+    x, y = rng.random((3, 300)), rng.random((3, 300))
+    calls = []
+
+    def counting(costs):
+        calls.append(costs.shape)
+        return linear_sum_assignment(costs)
+
+    monkeypatch.setattr(lowdp.metrics, "linear_sum_assignment", counting)
+    wasserstein1_sampled(x, y, SeededGenerator(23), k=128, repeats=3)
+    assert calls == [(128, 128)] * 3
+
+
+def test_sampled_estimator_checks_the_atom_transport_dual(monkeypatch):
+    x = np.array([[0.0, 0.0, 1.0, 1.0]])
+    y = np.array([[0.0, 1.0, 0.0, 1.0] * 8])
+
+    def crossed(costs, counts):
+        # every draw sent to its farther atom: the plan costs 1, its dual 0
+        return costs.argmax(axis=1), np.zeros(costs.shape[1])
+
+    monkeypatch.setattr(lowdp.metrics, "_transport_to_atoms", crossed)
+    with pytest.raises(SolverError, match="dual"):
+        wasserstein1_sampled(x, y, SeededGenerator(24), k=16, repeats=1)
 
 
 def test_ground_distances_match_broadcast_reference():
