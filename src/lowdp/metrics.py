@@ -21,7 +21,14 @@ outputs on lattice anchors, that draw is collapsed to K atoms with integer
 multiplicities and the k x K transport is solved by successive shortest
 paths over the K atoms; its potentials are checked against the value on
 every call.  Otherwise the k x k costs, with a 1e-11 tie-breaking jitter,
-go to the assignment solver.
+go to the assignment solver.  The calling thread draws and prepares the
+repeats in order; only their assignment solves run in a thread pool, at
+most min(repeats, usable cores) at once, and each repeat's value is stored
+by index and averaged in repeat order, so the estimate does not depend on
+the core count.
+
+Ground distances are one scipy ``cdist`` call (``chebyshev`` for ``linf``,
+``euclidean`` for ``l2``), which rejects non-finite coordinates first.
 
 ``projection_diagnostics`` checks a run's projection-stability and
 eigenvalue-shift bounds from the d x d second moment (1/n) Z Z^T alone.
@@ -31,12 +38,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
 from .errors import InvalidParameterError, SizeOverflowError, SolverError
 from .noise import SeededGenerator
@@ -58,6 +68,7 @@ DEFAULT_MAX_CELLS = 4_000_000
 # the collapsed path is faster up to k/K ~ 3 at k = 1024 and ~ 2.7 at
 # k = 2048; at k = 128 the assignment is faster, by a few milliseconds
 _COLLAPSE_RATIO = 4
+_CDIST_METRICS = {"linf": "chebyshev", "l2": "euclidean"}
 
 
 @dataclass(frozen=True)
@@ -121,23 +132,18 @@ class TransportResult:
 def ground_distances(x: np.ndarray, y: np.ndarray, metric: str = "linf") -> np.ndarray:
     """Pairwise ground distances between columns of x (d x k1) and y (d x k2).
 
-    Accumulates one coordinate at a time into a single k1 x k2 array, so no
-    k1 x k2 x d temporary is built; ``l2`` sums the squares in coordinate
-    order.
+    One scipy ``cdist`` call on the transposed supports: ``chebyshev`` for
+    ``linf``, ``euclidean`` for ``l2``.  Both kernels reduce over the
+    coordinates in order, so ground_distances(y, x) is the transpose to the
+    bit.  Coordinates must be finite: ``chebyshev`` would skip a NaN.
     """
-    if metric not in ("linf", "l2"):
+    if metric not in _CDIST_METRICS:
         raise InvalidParameterError(f"unknown ground metric {metric!r} (use 'linf' or 'l2')")
     if x.shape[0] != y.shape[0]:
         raise InvalidParameterError("measures live in different ambient dimensions")
-    out = np.zeros((x.shape[1], y.shape[1]))
-    step = np.empty_like(out)
-    for xc, yc in zip(x, y):
-        np.subtract(xc[:, None], yc[None, :], out=step)
-        if metric == "linf":
-            np.maximum(out, np.abs(step, out=step), out=out)
-        else:
-            out += np.multiply(step, step, out=step)
-    return out if metric == "linf" else np.sqrt(out, out=out)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidParameterError("ground distances need finite coordinates")
+    return cdist(x.T, y.T, _CDIST_METRICS[metric])
 
 
 def _integer_masses(p: EmpiricalMeasure, q: EmpiricalMeasure):
@@ -269,42 +275,67 @@ def wasserstein1_sampled(
     a k x K transport by successive shortest paths, with a duality check
     that raises SolverError; other draws take the k x k assignment on
     jittered costs.  Both paths report the mean cost of the matched pairs.
-    Biased upward by the finite-sample floor; use only where the exact
-    solver refuses.  k and repeats must be positive integers.
+    Repeats are prepared in batches of at most w = min(repeats, usable
+    cores), the CPU affinity of the process; the batch's assignment solves
+    run side by side in w threads, which bounds the live k x k matrices to
+    two per batch member.  The result is the same bit for bit on any core
+    count.  Biased upward by the finite-sample floor; use only where the
+    exact solver refuses.  k and repeats must be positive integers.
     """
     for name, count in (("subsample size k", k), ("repeats", repeats)):
         if not isinstance(count, (int, np.integer)) or count < 1:
             raise InvalidParameterError(f"{name} must be a positive integer, got {count!r}")
     p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
     q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
-    values = []
-    for rep in range(repeats):
-        sub = gen.split(f"w1-sample-{rep}")
-        xs = _draw_atoms(p, k, sub.split("p"))
-        ys = _draw_atoms(q, k, sub.split("q"))
-        ux, x_counts = np.unique(xs, axis=1, return_counts=True)
-        uy, y_counts = np.unique(ys, axis=1, return_counts=True)
-        units, atoms, counts = (ys, ux, x_counts) if ux.shape[1] < uy.shape[1] else (xs, uy, y_counts)
-        if atoms.shape[1] * _COLLAPSE_RATIO <= k:
-            # ground distances are symmetric to the bit, so these k x K costs
-            # are columns of the k x k matrix whichever side was collapsed
-            costs = ground_distances(units, atoms, metric)
-            if not np.isfinite(costs).all():
-                raise InvalidParameterError("sampled atoms must have finite coordinates")
-            atom, v = _transport_to_atoms(costs, counts)
-            primal = costs[np.arange(k), atom].mean()
-            gap = primal - ((costs - v).min(axis=1).mean() + counts @ v / k)
-            if gap > 1e-9:
-                raise SolverError(f"atom transport is {gap:.3e} above its dual")
-            values.append(primal)
-            continue
-        costs = ground_distances(xs, ys, metric)
-        # tiny deterministic jitter breaks cost ties, which can otherwise
-        # push the assignment solver into its worst case on sup-metric costs
-        jitter = sub.split("jitter").random(costs.shape) * 1e-11
-        rows, cols = linear_sum_assignment(costs + jitter)
-        values.append(costs[rows, cols].mean())
+    values = [None] * repeats
+    workers = min(repeats, _usable_cores())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # batches of at most `workers` repeats bound the k x k matrices alive at once
+        for start in range(0, repeats, workers):
+            solves = []
+            for rep in range(start, min(start + workers, repeats)):
+                sub = gen.split(f"w1-sample-{rep}")
+                xs = _draw_atoms(p, k, sub.split("p"))
+                ys = _draw_atoms(q, k, sub.split("q"))
+                ux, x_counts = np.unique(xs, axis=1, return_counts=True)
+                uy, y_counts = np.unique(ys, axis=1, return_counts=True)
+                units, atoms, counts = (ys, ux, x_counts) if ux.shape[1] < uy.shape[1] else (xs, uy, y_counts)
+                if atoms.shape[1] * _COLLAPSE_RATIO <= k:
+                    # ground distances are symmetric to the bit, so these k x K
+                    # costs are columns of the k x k matrix whichever side was collapsed
+                    values[rep] = _checked_atom_transport(ground_distances(units, atoms, metric), counts)
+                    continue
+                costs = ground_distances(xs, ys, metric)
+                # tiny deterministic jitter breaks cost ties, which can otherwise
+                # push the assignment solver into its worst case on sup-metric
+                # costs; built in place, so a repeat holds two k x k arrays
+                jittered = sub.split("jitter").random(costs.shape)
+                jittered *= 1e-11
+                jittered += costs
+                solves.append((rep, costs, pool.submit(linear_sum_assignment, jittered)))
+            for rep, costs, solve in solves:
+                rows, cols = solve.result()
+                values[rep] = costs[rows, cols].mean()
     return float(np.mean(values))
+
+
+def _checked_atom_transport(costs: np.ndarray, counts: np.ndarray) -> float:
+    """Mean matched cost of the k x K atom transport, checked against its dual."""
+    k = costs.shape[0]
+    atom, v = _transport_to_atoms(costs, counts)
+    primal = costs[np.arange(k), atom].mean()
+    gap = primal - ((costs - v).min(axis=1).mean() + counts @ v / k)
+    if gap > 1e-9:
+        raise SolverError(f"atom transport is {gap:.3e} above its dual")
+    return primal
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _transport_to_atoms(costs: np.ndarray, counts: np.ndarray):

@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -236,6 +237,89 @@ def test_sampled_estimator_rejects_non_finite_atoms():
         wasserstein1_sampled(x, y, SeededGenerator(1), k=64, repeats=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected_on_every_path(bad):
+    rng = np.random.default_rng(26)
+    x, y = rng.random((2, 64)), rng.random((2, 64))
+    y[1, 7] = bad
+    tied = np.repeat(rng.random((2, 4)), 16, axis=1)
+    tied[0, 0] = bad  # 5 distinct atoms in 64 draws: the collapsed path
+    calls = [
+        lambda: wasserstein1(x, y),  # assignment
+        lambda: wasserstein1(x, y[:, :40]),  # transport LP
+        lambda: wasserstein1(x, y, detailed=True),
+        lambda: wasserstein2(x, y),
+        lambda: wasserstein1_sampled(x, y, SeededGenerator(1), k=64, repeats=1),
+        lambda: wasserstein1_sampled(x, tied, SeededGenerator(1), k=64, repeats=1),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+@pytest.mark.parametrize("repeats", [2, 3, 5])
+def test_concurrent_solves_equal_one_core_to_the_bit(metric, repeats, monkeypatch):
+    rng = np.random.default_rng(27)
+    distinct = (rng.random((3, 200)), rng.random((3, 200)))
+    # one heavy atom plus 50 distinct ones: some k = 64 draws collapse, others do not
+    heavy = np.concatenate([np.repeat(rng.random((3, 1)), 150, axis=1), rng.random((3, 50))], axis=1)
+    mixed = (rng.random((3, 200)), heavy)
+    calls = []
+
+    def counting(costs):
+        calls.append(costs.shape)
+        return linear_sum_assignment(costs)
+
+    monkeypatch.setattr(lowdp.metrics, "linear_sum_assignment", counting)
+    for x, y in (distinct, mixed):
+        calls.clear()
+        value = wasserstein1_sampled(x, y, SeededGenerator(5), metric, k=64, repeats=repeats)
+        solves = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(lowdp.metrics, "_usable_cores", lambda: 1)
+            serial = wasserstein1_sampled(x, y, SeededGenerator(5), metric, k=64, repeats=repeats)
+        assert value.hex() == serial.hex()
+        assert len(calls) == 2 * solves
+    # the last instance mixes collapsed repeats with assignment repeats
+    assert 0 < solves < repeats
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_sampled_solves_in_flight_follow_the_core_count(cores, monkeypatch):
+    rng = np.random.default_rng(28)
+    x, y = rng.random((3, 200)), rng.random((3, 200))
+    workers = min(5, cores)
+    lock = threading.Lock()
+    flight = {"now": 0, "peak": 0, "calls": 0}
+    threads = set()
+    # the first `workers` solves wait for one another: they can only all
+    # return if each runs in its own thread at the same time
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def recorder(costs):
+        with lock:
+            flight["now"] += 1
+            flight["peak"] = max(flight["peak"], flight["now"])
+            flight["calls"] += 1
+            first = flight["calls"] <= workers
+            threads.add(threading.get_ident())
+        try:
+            if first:
+                barrier.wait()
+            return linear_sum_assignment(costs)
+        finally:
+            with lock:
+                flight["now"] -= 1
+
+    monkeypatch.setattr(lowdp.metrics, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(lowdp.metrics, "linear_sum_assignment", recorder)
+    wasserstein1_sampled(x, y, SeededGenerator(29), k=64, repeats=5)
+    assert flight["calls"] == 5
+    assert flight["peak"] == workers
+    assert len(threads) == workers
+
+
 def _tie_heavy_instances():
     """Seeded (units, atoms, counts, metric): k unit draws against K atoms."""
     rng = np.random.default_rng(18)
@@ -364,6 +448,14 @@ def test_ground_distances_match_broadcast_reference():
     assert (np.abs(ground_distances(x, y, "l2") - ref) <= 1e-15 * ref).all()
     with pytest.raises(InvalidParameterError):
         ground_distances(x, y[:9], "linf")
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_ground_distances_symmetric_to_the_bit(metric):
+    rng = np.random.default_rng(30)
+    for d in (1, 3, 10, 37):
+        x, y = rng.standard_normal((d, 50)), np.round(rng.random((d, 40)) * 4) / 4
+        assert np.array_equal(ground_distances(x, y, metric), ground_distances(y, x, metric).T)
 
 
 def test_ground_distance_metrics():
