@@ -22,7 +22,6 @@ from .errors import (
     SolverError,
 )
 from .metrics import (
-    EmpiricalMeasure,
     ProjectionReport,
     TransportResult,
     projection_diagnostics,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CenteredCovariance",
     "Dataset",
-    "EmpiricalMeasure",
     "IngestError",
     "InsufficientDataError",
     "InvalidBudgetError",

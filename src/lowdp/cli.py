@@ -145,7 +145,7 @@ def _config_from_args(args, epsilon, seed, m_target=None) -> PipelineConfig:
     """The run configuration of the shared pipeline flags, at one budget and seed."""
     return PipelineConfig(
         epsilon=epsilon,
-        d_prime=args.dprime if args.dprime == "auto" else int(args.dprime),
+        d_prime=args.dprime,
         tau=args.tau,
         subroutine=args.subroutine,
         seed=seed,
@@ -183,10 +183,8 @@ def cmd_generate(args) -> int:
         value, estimator = _evaluate_w1(dataset.points, result.points, args, derive_seed(config.seed, "evaluate"))
         record["w1"] = value
         record["w1_estimator"] = estimator
-        if estimator == "exact" and result.size * dataset.size <= args.eval_max_cells:
+        if estimator == "exact":
             record["w2"] = float(wasserstein2(dataset.points, result.points, "l2"))
-    if args.timings:
-        record["timings_seconds"] = {"generate": elapsed}
     _write_json(out_dir / "run_record.json", record)
     if result.provenance["warning"]:
         _log(f"warning: {result.provenance['warning']}")
@@ -248,14 +246,11 @@ def _fit_slope(points):
 
 
 def cmd_sweep(args) -> int:
-    n_grid = [int(v) for v in args.n_grid.split(",") if v]
-    eps_grid = [float(v) for v in args.epsilon_grid.split(",") if v]
-    trials = int(args.trials)
     tasks = [
         (n, epsilon, trial, args)
-        for epsilon in eps_grid
-        for n in n_grid
-        for trial in range(trials)
+        for epsilon in args.epsilon_grid
+        for n in args.n_grid
+        for trial in range(args.trials)
     ]
     if args.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -324,6 +319,28 @@ def _add_eval_options(parser):
     parser.add_argument("--eval-repeats", type=int, default=2)
 
 
+def _dimension(text: str):
+    """The --dprime value: 'auto' or a positive integer."""
+    if text == "auto":
+        return text
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a positive integer, got {text!r}")
+    return int(text)
+
+
+def _comma_list(convert):
+    """An argparse type: a nonempty comma-separated list, each value parsed by convert."""
+
+    def parse(text: str) -> list:
+        values = [convert(v) for v in text.split(",") if v]
+        if not values:
+            raise ValueError(f"no values in {text!r}")
+        return values
+
+    parse.__name__ = f"comma-separated {convert.__name__} list"  # argparse names it in its error
+    return parse
+
+
 class _EpsilonGridOnly(argparse.Action):
     """Refuses ``sweep --epsilon``: the sweep's budgets come from --epsilon-grid."""
 
@@ -333,7 +350,7 @@ class _EpsilonGridOnly(argparse.Action):
 
 def _add_pipeline_options(parser):
     """Pipeline flags shared by generate and sweep; each declares its own budget flag."""
-    parser.add_argument("--dprime", default="auto", help="target dimension, or 'auto'")
+    parser.add_argument("--dprime", type=_dimension, default="auto", help="target dimension, or 'auto'")
     parser.add_argument("--tau", type=float, default=0.1, help="spectrum-ratio threshold for auto d'")
     parser.add_argument("--subroutine", choices=("pmm", "psmm", "auto"), default="auto")
     parser.add_argument("--budget-split", choices=("three", "four"), default="three", dest="budget_split")
@@ -359,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--rescale", action="store_true", help="min-max rescale columns into [0, 1]")
     p_gen.add_argument("--m-target", type=int, default=None, dest="m_target")
     p_gen.add_argument("--evaluate", action="store_true", help="also compute W1 against the input")
-    p_gen.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings in the record (breaks byte determinism)")
     _add_eval_options(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -378,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--dim", type=int, required=True, help="ambient dimension d")
     p_sweep.add_argument("--planted-dprime", type=int, required=True, dest="planted_dprime")
-    p_sweep.add_argument("--n-grid", required=True, dest="n_grid", help="comma-separated dataset sizes")
-    p_sweep.add_argument("--epsilon-grid", default="1.0", dest="epsilon_grid",
+    p_sweep.add_argument("--n-grid", type=_comma_list(int), required=True, dest="n_grid",
+                         help="comma-separated dataset sizes")
+    p_sweep.add_argument("--epsilon-grid", type=_comma_list(float), default=[1.0], dest="epsilon_grid",
                          help="comma-separated total privacy budgets")
     p_sweep.add_argument("--epsilon", action=_EpsilonGridOnly, help=argparse.SUPPRESS)
     p_sweep.add_argument("--trials", type=int, default=10)

@@ -1,21 +1,19 @@
-"""Exact Wasserstein distances between empirical measures, plus diagnostics.
+"""Exact Wasserstein distances between point sets, plus diagnostics.
 
-Two exact solvers sit behind one value path.  When both measures are
-uniform and of equal size k, the optimal plan can be taken to be a
-permutation (Birkhoff), so W_p^p is the optimal linear assignment on the
-k x k costs, divided by k; that is how a plain ``wasserstein1`` /
-``wasserstein2`` call on such measures is solved.  Every other instance
-(unequal sizes, non-uniform rational weights), and every call with
-``detailed=True``, is solved as the transportation LP: rational weights
-are scaled to a common integer denominator and HiGHS returns a basic
-(vertex) optimum, which is integral for integral marginals.  Its node
-potentials are replaced by their double c-transform, so they satisfy
-u_i + v_j <= c_ij exactly on the reported costs and give a checkable dual
-Lipschitz certificate.
+A point set is a d x k array (a 1-D array is one row of k points) standing
+for the uniform measure on its k columns; a weight a_i / L is a_i copies of
+atom i.  Two exact solvers sit behind one value path.  Sets of equal size k
+are solved as the optimal linear assignment on the k x k costs, divided by
+k: by Birkhoff, some optimal plan is a permutation.  Unequal sizes n and m,
+and every call with ``detailed=True``, are solved as the transportation LP
+with integer masses L/n and L/m, L = lcm(n, m); HiGHS returns a basic
+(vertex) optimum, which is integral.  Its node potentials are replaced by
+their double c-transform, so they satisfy u_i + v_j <= c_ij exactly on the
+reported costs and give a checkable dual Lipschitz certificate.
 
 For instances too large for the exact solvers there is a separate,
 explicitly approximate subsample estimator.  It draws k atoms from each
-measure and solves each pair of draws exactly, on one of two paths.  When
+point set and solves each pair of draws exactly, on one of two paths.  When
 the draw with fewer distinct atoms has K of them and 4 K <= k, as for PSMM
 outputs on lattice anchors, that draw is collapsed to K atoms with integer
 multiplicities and the k x K transport is solved by successive shortest
@@ -36,12 +34,10 @@ eigenvalue-shift bounds from the d x d second moment (1/n) Z Z^T alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -52,7 +48,6 @@ from .errors import InvalidParameterError, SizeOverflowError, SolverError
 from .noise import SeededGenerator
 
 __all__ = [
-    "EmpiricalMeasure",
     "TransportResult",
     "ProjectionReport",
     "ground_distances",
@@ -71,49 +66,14 @@ _COLLAPSE_RATIO = 4
 _CDIST_METRICS = {"linf": "chebyshev", "l2": "euclidean"}
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Weighted point measure: support is d x k, weights are exact rationals.
-
-    Weights default to the uniform 1/k and must be nonnegative rationals
-    summing to exactly 1.  ``uniform`` records, once, whether every weight
-    is 1/k.
-    """
-
-    support: np.ndarray
-    weights: tuple = None
-    uniform: bool = field(init=False, repr=False)
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.support, dtype=np.float64))
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.ndim != 2 or pts.shape[1] < 1:
-            raise InvalidParameterError(f"support must be a nonempty d x k matrix, got {pts.shape}")
-        k = pts.shape[1]
-        if self.weights is None:
-            w = tuple([Fraction(1, k)] * k)
-            uniform = True
-        else:
-            w = tuple(Fraction(x) for x in self.weights)
-            if len(w) != k:
-                raise InvalidParameterError("weights length must match support size")
-            if any(x < 0 for x in w):
-                raise InvalidParameterError("weights must be nonnegative")
-            if sum(w) != 1:
-                raise InvalidParameterError("weights must sum to exactly 1")
-            uniform = all(x == w[0] for x in w)
-        object.__setattr__(self, "support", pts)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "uniform", uniform)
-
-    @classmethod
-    def from_points(cls, points) -> "EmpiricalMeasure":
-        return cls(support=np.asarray(points, dtype=np.float64))
-
-    @property
-    def size(self) -> int:
-        return self.support.shape[1]
+def _as_points(points) -> np.ndarray:
+    """A nonempty d x k float matrix; a 1-D array is one row of k points."""
+    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise InvalidParameterError(f"support must be a nonempty d x k matrix, got {pts.shape}")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -123,7 +83,7 @@ class TransportResult:
     value: float
     plan: np.ndarray          # k_p x k_q, in probability-mass units
     plan_units: np.ndarray    # same plan in scaled integer units
-    mass_scale: int           # common denominator the weights were scaled by
+    mass_scale: int           # lcm of the two sizes: one atom of a size-k set is mass_scale / k units
     potential_p: np.ndarray   # dual potential per P-atom (per unit mass)
     potential_q: np.ndarray   # dual potential per Q-atom
     costs: np.ndarray
@@ -144,21 +104,6 @@ def ground_distances(x: np.ndarray, y: np.ndarray, metric: str = "linf") -> np.n
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameterError("ground distances need finite coordinates")
     return cdist(x.T, y.T, _CDIST_METRICS[metric])
-
-
-def _integer_masses(p: EmpiricalMeasure, q: EmpiricalMeasure):
-    """Scale both weight vectors to a common integer denominator."""
-    denom = 1
-    for w in itertools.chain(p.weights, q.weights):
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    if denom > 10**15:
-        raise SizeOverflowError(
-            f"weight denominators scale to {denom}, past the exact-integer range; "
-            "use wasserstein1_sampled (approximate)"
-        )
-    a = np.array([int(w * denom) for w in p.weights], dtype=np.int64)
-    b = np.array([int(w * denom) for w in q.weights], dtype=np.int64)
-    return a, b, denom
 
 
 def _solve_transport(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -202,26 +147,26 @@ def _solve_transport(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def _transport(p, q, metric, power, max_cells, detailed):
-    """W_power^power between two measures: a float, or a TransportResult.
+    """W_power^power between two point sets: a float, or a TransportResult.
 
-    Uniform measures of equal size k take the assignment solver unless the
-    plan and potentials are asked for; everything else takes the LP.
+    Sets of equal size take the assignment solver unless the plan and
+    potentials are asked for; everything else takes the LP.
     """
-    p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
-    q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
-    if p.size * q.size > max_cells:
+    p, q = _as_points(p), _as_points(q)
+    n, m = p.shape[1], q.shape[1]
+    if n * m > max_cells:
         raise SizeOverflowError(
-            f"exact transport on {p.size} x {q.size} supports exceeds the "
+            f"exact transport on {n} x {m} supports exceeds the "
             f"{max_cells}-cell limit; use wasserstein1_sampled (approximate)"
         )
-    costs = ground_distances(p.support, q.support, metric)
+    costs = ground_distances(p, q, metric)
     if power != 1:
         costs = costs**power
-    if not detailed and p.uniform and q.uniform and p.size == q.size:
+    if not detailed and n == m:
         rows, cols = linear_sum_assignment(costs)
-        return float(costs[rows, cols].sum()) / p.size
-    a, b, denom = _integer_masses(p, q)
-    flow, total, u, v = _solve_transport(costs, a, b)
+        return float(costs[rows, cols].sum()) / n
+    denom = math.lcm(n, m)
+    flow, total, u, v = _solve_transport(costs, np.full(n, denom // n), np.full(m, denom // m))
     result = TransportResult(
         value=total / denom,
         plan=flow / denom,
@@ -235,10 +180,10 @@ def _transport(p, q, metric, power, max_cells, detailed):
 
 
 def wasserstein1(p, q, metric: str = "linf", *, max_cells: int = DEFAULT_MAX_CELLS, detailed: bool = False):
-    """Exact 1-Wasserstein distance between two empirical measures.
+    """Exact 1-Wasserstein distance between the uniform measures on two point sets.
 
-    Uniform measures of equal size are solved as an assignment problem;
-    unequal support sizes, non-uniform weights and ``detailed=True`` (plan and
+    p and q are d x k arrays of atoms.  Sets of equal size are solved as an
+    assignment problem; unequal sizes and ``detailed=True`` (plan and
     exactly feasible potentials) go through the integer-scaled transport
     LP.  The result does not depend on the ordering of either support.
     Raises SizeOverflowError when the instance is too large, in which case
@@ -269,7 +214,8 @@ def wasserstein1_sampled(
 ) -> float:
     """APPROXIMATE W1 estimate for large instances.
 
-    Draws k atoms i.i.d. from each measure (by weight) and averages, over
+    Draws k atoms from each point set (without replacement when k is at most
+    its size, else uniformly with replacement) and averages, over
     independent repeats, the exact W1 between the two draws.  A draw with K
     distinct atoms, 4 K <= k, is collapsed to K weighted atoms and solved as
     a k x K transport by successive shortest paths, with a duality check
@@ -285,8 +231,7 @@ def wasserstein1_sampled(
     for name, count in (("subsample size k", k), ("repeats", repeats)):
         if not isinstance(count, (int, np.integer)) or count < 1:
             raise InvalidParameterError(f"{name} must be a positive integer, got {count!r}")
-    p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
-    q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
+    p, q = _as_points(p), _as_points(q)
     values = [None] * repeats
     workers = min(repeats, _usable_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -413,14 +358,12 @@ def _transport_to_atoms(costs: np.ndarray, counts: np.ndarray):
     return atom, v
 
 
-def _draw_atoms(measure: EmpiricalMeasure, k: int, gen: SeededGenerator) -> np.ndarray:
-    if measure.uniform and k <= measure.size:
-        idx = gen.choice(measure.size, size=k, replace=False)
-    else:
-        probs = np.array([float(w) for w in measure.weights])
-        probs = probs / probs.sum()
-        idx = gen.choice(measure.size, size=k, replace=True, p=probs)
-    return measure.support[:, idx]
+def _draw_atoms(points: np.ndarray, k: int, gen: SeededGenerator) -> np.ndarray:
+    size = points.shape[1]
+    if k <= size:
+        return points[:, gen.choice(size, size=k, replace=False)]
+    probs = np.full(size, 1.0 / size)
+    return points[:, gen.choice(size, size=k, replace=True, p=probs / probs.sum())]
 
 
 @dataclass(frozen=True)

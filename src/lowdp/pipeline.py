@@ -11,6 +11,7 @@ noise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -61,12 +62,12 @@ class PipelineConfig:
         if self.delta_mode not in ("alg5", "proof"):
             raise InvalidParameterError(f"delta_mode must be alg5|proof, got {self.delta_mode!r}")
         if self.d_prime != "auto":
-            if int(self.d_prime) < 1:
-                raise InvalidDimensionError(f"d_prime must be >= 1, got {self.d_prime}")
+            whole = isinstance(self.d_prime, numbers.Real) and float(self.d_prime).is_integer()
+            if not (whole and self.d_prime >= 1):
+                raise InvalidDimensionError(f"d_prime must be 'auto' or an integer >= 1, got {self.d_prime!r}")
             object.__setattr__(self, "d_prime", int(self.d_prime))
-        else:
-            if not 0.0 < self.tau < 1.0:
-                raise InvalidParameterError(f"tau must be in (0, 1), got {self.tau}")
+        elif not 0.0 < self.tau < 1.0:
+            raise InvalidParameterError(f"tau must be in (0, 1), got {self.tau}")
         if not self.delta_scale > 0:
             raise InvalidParameterError(f"delta_scale must be positive, got {self.delta_scale}")
 

@@ -211,43 +211,23 @@ def noisy_counts(
 def repair_children(parent: np.ndarray, child0: np.ndarray, child1: np.ndarray):
     """Adjust sibling counts to nonnegative integers summing to their parent.
 
-    While the children exceed the parent, the currently larger child is
-    decremented (ties go to child 1); while they fall short, the smaller is
-    incremented (ties to child 0).  Vectorized closed form of that loop.
+    The closed form of a unit-step loop: while the children exceed the
+    parent, the currently larger child is decremented (ties go to child 1);
+    while they fall short, the smaller is incremented (ties to child 0).
+    With gap = parent - child0 - child1, the loop ends in one of two places.
+    If |gap| <= |child0 - child1|, the pair never ties, so the larger child
+    (on an excess) or the smaller (on a shortfall) absorbs the whole gap.
+    Otherwise the pair ties and then alternates, ending at
+    (parent - parent // 2, parent // 2).
     """
-    a = child0.astype(np.int64).copy()
-    b = child1.astype(np.int64).copy()
-    excess = a + b - parent
-
-    over = excess > 0
-    if over.any():
-        e = excess[over]
-        a_o, b_o = a[over], b[over]
-        # phase 1 drains only the strictly larger child until the pair ties
-        t = np.minimum(e, np.abs(a_o - b_o))
-        larger_is_a = a_o > b_o
-        a_o = a_o - np.where(larger_is_a, t, 0)
-        b_o = b_o - np.where(larger_is_a, 0, t)
-        # phase 2 alternates on the tied pair, starting with child 1
-        rest = e - t
-        a_o = a_o - rest // 2
-        b_o = b_o - (rest - rest // 2)
-        a[over], b[over] = a_o, b_o
-
-    under = excess < 0
-    if under.any():
-        f = -excess[under]
-        a_u, b_u = a[under], b[under]
-        t = np.minimum(f, np.abs(a_u - b_u))
-        smaller_is_a = a_u < b_u
-        a_u = a_u + np.where(smaller_is_a, t, 0)
-        b_u = b_u + np.where(smaller_is_a, 0, t)
-        # alternate on the tied pair, starting with child 0
-        rest = f - t
-        a_u = a_u + (rest - rest // 2)
-        b_u = b_u + rest // 2
-        a[under], b[under] = a_u, b_u
-    return a, b
+    a = child0.astype(np.int64)
+    b = child1.astype(np.int64)
+    gap = parent - a - b
+    one_sided = np.abs(gap) <= np.abs(a - b)
+    to_a = (a > b) == (gap < 0)  # child 0 absorbs as the larger on an excess, the smaller on a shortfall
+    a_out = np.where(one_sided, a + np.where(to_a, gap, 0), parent - parent // 2)
+    b_out = np.where(one_sided, b + np.where(to_a, 0, gap), parent // 2)
+    return a_out, b_out
 
 
 def enforce_consistency(tree: CountTree) -> CountTree:
@@ -311,14 +291,14 @@ def run_pmm(
 ) -> tuple[np.ndarray, dict]:
     """Full subroutine: partition, noisy counts, consistency, sampling."""
     d_prime = int(np.asarray(coords).shape[0])
-    depth, scales = depth_and_scales(epsilon, n, d_prime)
+    depth, _ = depth_and_scales(epsilon, n, d_prime)
     tree = build_partition(radius, d_prime, depth)
     tree = noisy_counts(tree, coords, epsilon, gen, zero_noise=zero_noise)
     tree = enforce_consistency(tree)
     points = sample_synthetic(tree, gen, mode=mode)
     info = {
         "depth": depth,
-        "level_scales": scales.tolist(),
+        "level_scales": tree.scales.tolist(),
         "synthetic_size": points.shape[1],
         "max_leaf_side": max_leaf_side(tree),
     }

@@ -2,9 +2,11 @@
 
 A delta-spaced lattice covers the l2 ball of radius R in d' coordinates.
 Per-cell counts are perturbed with integer Laplace noise at scale 1/eps,
-giving a signed measure nu.  The closest probability measure to nu under
+giving a signed measure nu.  The closest probability measure mu to nu under
 the bounded-Lipschitz distance is found by linear programming and rounded
-to a synthetic point multiset at the cell anchors.
+to a synthetic point multiset at the cell anchors.  Both measures are plain
+weight vectors over ``Lattice.anchors``: nu may have negative entries and
+any total mass, mu is nonnegative and sums to one.
 
 The LP is min over (mu >= 0, sum mu = 1, flows gamma >= 0, slacks p, q >= 0)
 of sum rho_ij gamma_ij + sum (p_i + q_i) subject to, at every anchor i,
@@ -38,8 +40,6 @@ from .noise import NoiseScale, SeededGenerator, sample_integer_laplace
 
 __all__ = [
     "Lattice",
-    "SignedLatticeMeasure",
-    "ProbabilityLatticeMeasure",
     "lattice_delta",
     "build_lattice",
     "cell_counts",
@@ -72,24 +72,6 @@ class Lattice:
     @property
     def size(self) -> int:
         return self.int_coords.shape[0]
-
-
-@dataclass(frozen=True)
-class SignedLatticeMeasure:
-    """Noisy per-cell weights; entries may be negative, mass may differ from 1."""
-
-    weights: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-
-@dataclass(frozen=True)
-class ProbabilityLatticeMeasure:
-    """Nonnegative per-anchor weights summing to one."""
-
-    weights: np.ndarray
 
 
 def lattice_delta(d: int, d_prime: int, epsilon: float, n: int, *, mode: str = "alg5", radius: float = None) -> float:
@@ -183,19 +165,14 @@ def perturb_to_signed_measure(
     gen: SeededGenerator,
     *,
     zero_noise: bool = False,
-) -> SignedLatticeMeasure:
-    """Weights (count + integer Laplace(1/eps)) / n per anchor."""
+) -> np.ndarray:
+    """The signed measure nu: weights (count + integer Laplace(1/eps)) / n per anchor."""
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
-    counts = np.asarray(counts, dtype=np.int64)
-    if zero_noise:
-        noisy = counts.astype(np.float64)
-    else:
-        lam = np.atleast_1d(
-            sample_integer_laplace(NoiseScale(1.0 / epsilon), gen.split("cells"), size=counts.shape[0])
-        )
-        noisy = (counts + lam).astype(np.float64)
-    return SignedLatticeMeasure(weights=noisy / n)
+    noisy = np.asarray(counts, dtype=np.int64)
+    if not zero_noise:
+        noisy = noisy + sample_integer_laplace(NoiseScale(1.0 / epsilon), gen.split("cells"), size=noisy.shape[0])
+    return noisy.astype(np.float64) / n
 
 
 def _grid_graph(lattice: Lattice):
@@ -279,32 +256,35 @@ def _bl_projection_grid_lp(nu: np.ndarray, lattice: Lattice):
     return (keep * (1.0 + res.x[-1] / total) if total > 0 else keep), float(res.fun)
 
 
-def project_to_probability(nu: SignedLatticeMeasure, lattice: Lattice) -> tuple[ProbabilityLatticeMeasure, float]:
+def project_to_probability(nu: np.ndarray, lattice: Lattice) -> tuple[np.ndarray, float]:
     """Closest probability measure to nu in bounded-Lipschitz distance.
 
-    Returns the minimizer together with the optimal objective value.  The
-    distance uses the l1 metric between anchors, with test functions capped
-    at 1 in sup norm, so the objective is always at least |sum(nu) - 1|.
+    nu and the returned mu are weight vectors over ``lattice.anchors``;
+    mu is nonnegative and sums to one.  Returns mu together with the
+    optimal objective value.  The distance uses the l1 metric between
+    anchors, with test functions capped at 1 in sup norm, so the objective
+    is always at least |sum(nu) - 1|.
     """
-    weights = np.asarray(nu.weights, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
     m = lattice.size
-    if weights.shape != (m,):
-        raise InvalidParameterError(f"measure has {weights.shape} weights for {m} anchors")
+    if nu.shape != (m,):
+        raise InvalidParameterError(f"measure has {nu.shape} weights for {m} anchors")
     if m < 1:
         raise InvalidParameterError("lattice must have at least one anchor")
     if lattice.delta >= 2.0:
-        mu, objective = _projection_without_transport(weights)
+        mu, objective = _projection_without_transport(nu)
     else:
-        mu, objective = _bl_projection_grid_lp(weights, lattice)
+        mu, objective = _bl_projection_grid_lp(nu, lattice)
     mu = np.maximum(mu, 0.0)
     if not mu.sum() > 0:
         mu = np.ones(m)  # nothing kept: all mass is created, spread evenly
-    return ProbabilityLatticeMeasure(weights=mu / mu.sum()), objective
+    return mu / mu.sum(), objective
 
 
-def measure_to_points(mu: ProbabilityLatticeMeasure, lattice: Lattice, m_target: int) -> np.ndarray:
+def measure_to_points(mu: np.ndarray, lattice: Lattice, m_target: int) -> np.ndarray:
     """Deterministic largest-remainder rounding of mu to anchor copies.
 
+    mu is a nonnegative weight vector over ``lattice.anchors``.
     Cell counts are floor(m_target * mu_i) plus one for the largest
     remainders (ties broken toward the lower anchor index); each anchor is
     emitted count times.  Returns a d' x m_target matrix.
@@ -312,7 +292,7 @@ def measure_to_points(mu: ProbabilityLatticeMeasure, lattice: Lattice, m_target:
     if int(m_target) < 1:
         raise InvalidParameterError(f"m_target must be >= 1, got {m_target}")
     m_target = int(m_target)
-    w = np.maximum(np.asarray(mu.weights, dtype=np.float64), 0.0)
+    w = np.maximum(np.asarray(mu, dtype=np.float64), 0.0)
     scaled = m_target * (w / w.sum())
     counts = np.floor(scaled).astype(np.int64)
     remaining = m_target - int(counts.sum())
@@ -353,7 +333,7 @@ def run_psmm(
         "delta_mode": delta_mode,
         "delta_scale": delta_scale,
         "anchors": lattice.size,
-        "signed_total_mass": nu.total_mass,
+        "signed_total_mass": float(nu.sum()),
         "projection_objective": objective,
         "synthetic_size": points.shape[1],
     }

@@ -5,17 +5,17 @@ import math
 
 import numpy as np
 
-from lowdp.metrics import EmpiricalMeasure, ground_distances
+from lowdp.metrics import ground_distances
 from simplex import solve_dense_lp
 
 
 def wasserstein1_bruteforce(p, q, metric: str = "linf") -> float:
-    """Permutation-enumeration W1 for equal-size uniform measures (k <= 8)."""
-    p = p if isinstance(p, EmpiricalMeasure) else EmpiricalMeasure.from_points(p)
-    q = q if isinstance(q, EmpiricalMeasure) else EmpiricalMeasure.from_points(q)
-    k = p.size
-    assert q.size == k and k <= 8, "brute-force oracle needs equal support sizes <= 8"
-    costs = ground_distances(p.support, q.support, metric)
+    """Permutation-enumeration W1 between equal-size point sets (k <= 8)."""
+    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+    k = p.shape[1]
+    assert q.shape[1] == k and k <= 8, "brute-force oracle needs equal support sizes <= 8"
+    costs = ground_distances(p, q, metric)
     best = math.inf
     for perm in itertools.permutations(range(k)):
         best = min(best, costs[np.arange(k), perm].sum())

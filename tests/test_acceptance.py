@@ -21,7 +21,7 @@ from lowdp.pca import centered_covariance
 from lowdp.pipeline import PipelineConfig, generate
 from lowdp.planted import planted_subspace_dataset
 from lowdp.pmm import run_pmm
-from lowdp.psmm import Lattice, SignedLatticeMeasure, project_to_probability
+from lowdp.psmm import Lattice, project_to_probability
 from oracles import anchor_distances, wasserstein1_bruteforce
 
 
@@ -218,11 +218,11 @@ def test_criterion_6_lp_projection_optimality():
         ints = grid[rng.choice(grid.shape[0], m, replace=False)]
         lattice = Lattice(delta=0.7, radius=2.2, d_prime=d_prime, int_coords=ints)
         nu = np.round(rng.normal(0.3, 0.6, m), 3)
-        mu, objective = project_to_probability(SignedLatticeMeasure(nu), lattice)
+        mu, objective = project_to_probability(nu, lattice)
         oracle = _bfs_enumeration_objective(nu, anchor_distances(lattice))
         worst_gap = max(worst_gap, abs(objective - oracle))
-        all_ok &= (mu.weights >= -1e-9).all()
-        all_ok &= abs(mu.weights.sum() - 1.0) <= 1e-9
+        all_ok &= (mu >= -1e-9).all()
+        all_ok &= abs(mu.sum() - 1.0) <= 1e-9
         all_ok &= objective >= abs(nu.sum() - 1.0) - 1e-9
     passed = all_ok and worst_gap <= 1e-7
     assert _report(6, passed, f"max |LP - oracle| = {worst_gap:.2e} over 50 instances")

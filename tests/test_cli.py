@@ -141,6 +141,34 @@ def test_generate_validation_exit_codes(tmp_path):
     assert code == 2  # eps * n regime validation
 
 
+@pytest.mark.parametrize("dprime", ["abc", "2.5", "0"])
+def test_generate_rejects_bad_dprime_as_usage_error(tmp_path, capsys, dprime):
+    data, _ = planted_subspace_dataset(50, 3, 2, SeededGenerator(3))
+    inp = tmp_path / "ok.csv"
+    write_points_csv(inp, data.points)
+    args = _generate_args(inp, tmp_path / "o")
+    args[args.index("--dprime") + 1] = dprime
+    assert main(args) == 2
+    assert "--dprime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [("--n-grid", "abc"), ("--n-grid", "128,2.5"), ("--n-grid", ","), ("--epsilon-grid", "x")],
+    ids=["n-grid-word", "n-grid-fraction", "n-grid-empty", "epsilon-grid-word"],
+)
+def test_sweep_rejects_bad_grid_as_usage_error(tmp_path, capsys, grid):
+    out = tmp_path / "sweep-bad"
+    args = [
+        "sweep", "--out", str(out), "--dim", "4", "--planted-dprime", "2",
+        "--n-grid", "128", "--trials", "1", "--dprime", "2", "--subroutine", "pmm",
+    ]
+    args += grid
+    assert main(args) == 2
+    assert not out.exists()
+    assert grid[0] in capsys.readouterr().err
+
+
 def test_generate_with_evaluation(tmp_path):
     data, _ = planted_subspace_dataset(80, 4, 2, SeededGenerator(4))
     inp = tmp_path / "input.csv"

@@ -10,7 +10,6 @@ from lowdp import PipelineConfig, generate, planted_subspace_dataset
 from lowdp.cli import derive_seed
 from lowdp.errors import InvalidParameterError, SizeOverflowError, SolverError
 from lowdp.metrics import (
-    EmpiricalMeasure,
     ground_distances,
     projection_diagnostics,
     wasserstein1,
@@ -19,15 +18,6 @@ from lowdp.metrics import (
 )
 from lowdp.noise import SeededGenerator, sample_symmetric_laplace_matrix
 from oracles import wasserstein1_bruteforce
-
-
-def test_measure_weight_validation():
-    with pytest.raises(InvalidParameterError):
-        EmpiricalMeasure(np.zeros((2, 2)), weights=(Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(InvalidParameterError):
-        EmpiricalMeasure(np.zeros((2, 2)), weights=(Fraction(3, 2), Fraction(-1, 2)))
-    m = EmpiricalMeasure(np.zeros((2, 3)))
-    assert sum(m.weights) == 1
 
 
 def test_identical_measures_have_zero_distance():
@@ -61,9 +51,9 @@ def test_flow_matches_permutation_oracle_6x6():
 
 
 def test_flow_matches_oracle_unequal_weighted():
-    # 2 x 1 instance solvable by hand: split mass to the cheaper target first
-    p = EmpiricalMeasure(np.array([[0.0, 1.0]]), weights=(Fraction(3, 4), Fraction(1, 4)))
-    q = EmpiricalMeasure(np.array([[0.5]]))
+    # weights 3/4 and 1/4 on the atoms 0 and 1, as 3 copies of 0 and one of 1
+    p = np.array([[0.0, 0.0, 0.0, 1.0]])
+    q = np.array([[0.5]])
     # every unit must travel to 0.5: cost = 3/4 * 0.5 + 1/4 * 0.5 = 0.5
     assert wasserstein1(p, q, "l2") == pytest.approx(0.5, abs=1e-12)
 
@@ -161,18 +151,6 @@ def test_assignment_path_matches_lp(metric, monkeypatch):
             assert wasserstein2(x, y, metric) == pytest.approx(lp_w2, abs=1e-12)
 
 
-def test_explicit_equal_weights_take_uniform_path(monkeypatch):
-    rng = np.random.default_rng(15)
-    x, y = rng.random((2, 5)), rng.random((2, 5))
-    p = EmpiricalMeasure(x, weights=[Fraction(1, 5)] * 5)
-    q = EmpiricalMeasure(y, weights=["1/5"] * 5)
-    assert p.uniform and q.uniform
-    assert not EmpiricalMeasure(x, weights=[Fraction(1, 4)] * 3 + [Fraction(1, 8)] * 2).uniform
-    expected = wasserstein1(x, y, detailed=True).value
-    monkeypatch.setattr(lowdp.metrics, "linprog", None)
-    assert wasserstein1(p, q) == pytest.approx(expected, abs=1e-12)
-
-
 def test_metric_axioms_on_random_triples():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -227,6 +205,19 @@ def test_sampled_estimator_rejects_nonpositive_sizes(bad):
     x = np.random.default_rng(17).random((2, 10))
     with pytest.raises(InvalidParameterError):
         wasserstein1_sampled(x, x, SeededGenerator(1), **bad)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 0)), np.zeros((2, 3, 1))], ids=["empty", "3-D"])
+@pytest.mark.parametrize(
+    "distance",
+    [wasserstein1, wasserstein2, lambda p, q: wasserstein1_sampled(p, q, SeededGenerator(0), k=2)],
+    ids=["w1", "w2", "w1_sampled"],
+)
+def test_distances_reject_malformed_point_sets(distance, bad):
+    good = np.zeros((2, 3))
+    for p, q in ((bad, good), (good, bad)):
+        with pytest.raises(InvalidParameterError, match="nonempty d x k matrix"):
+            distance(p, q)
 
 
 def test_sampled_estimator_rejects_non_finite_atoms():
@@ -382,12 +373,11 @@ def test_atom_transport_matches_permutation_oracle():
 
 def _sampled_assignment_reference(x, y, seed, metric, k, repeats):
     """The estimator's own draws, each pair solved by the unjittered k x k assignment."""
-    p, q = EmpiricalMeasure.from_points(x), EmpiricalMeasure.from_points(y)
     values = []
     for rep in range(repeats):
         sub = SeededGenerator(seed).split(f"w1-sample-{rep}")
-        xs = lowdp.metrics._draw_atoms(p, k, sub.split("p"))
-        ys = lowdp.metrics._draw_atoms(q, k, sub.split("q"))
+        xs = lowdp.metrics._draw_atoms(x, k, sub.split("p"))
+        ys = lowdp.metrics._draw_atoms(y, k, sub.split("q"))
         costs = ground_distances(xs, ys, metric)
         rows, cols = linear_sum_assignment(costs)
         values.append(costs[rows, cols].mean())

@@ -32,6 +32,16 @@ def test_config_validation():
         PipelineConfig(epsilon=1.0, d_prime="auto", tau=2.0)
 
 
+@pytest.mark.parametrize("d_prime", [2.5, "abc", None, 0, float("nan")])
+def test_config_rejects_non_integral_d_prime(d_prime):
+    with pytest.raises(InvalidDimensionError):
+        PipelineConfig(epsilon=1.0, d_prime=d_prime)
+
+
+def test_config_keeps_whole_number_d_prime():
+    assert PipelineConfig(epsilon=1.0, d_prime=3.0).d_prime == 3
+
+
 def test_stage_fractions_sum_to_one_exactly():
     for split in ("three", "four"):
         fracs = PipelineConfig(epsilon=1.0, budget_split=split).stage_fractions()

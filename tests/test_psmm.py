@@ -14,8 +14,6 @@ from lowdp.errors import (
 from lowdp.noise import SeededGenerator
 from lowdp.psmm import (
     Lattice,
-    ProbabilityLatticeMeasure,
-    SignedLatticeMeasure,
     build_lattice,
     cell_counts,
     lattice_delta,
@@ -90,8 +88,8 @@ def test_cell_counts_partition_of_ball():
 
 def test_signed_measure_formula():
     nu = perturb_to_signed_measure(np.array([8, 2]), 1.0, 10, SeededGenerator(1), zero_noise=True)
-    assert np.allclose(nu.weights, [0.8, 0.2])
-    assert nu.total_mass == pytest.approx(1.0)
+    assert np.allclose(nu, [0.8, 0.2])
+    assert nu.sum() == pytest.approx(1.0)
 
 
 def test_signed_measure_mass_is_centered():
@@ -100,7 +98,7 @@ def test_signed_measure_mass_is_centered():
     counts = np.array([5, 3, 2, 0, 0, 0])
     for t in range(400):
         nu = perturb_to_signed_measure(counts, 1.0, 10, gen.split(t))
-        totals.append(nu.total_mass)
+        totals.append(nu.sum())
     assert abs(np.mean(totals) - 1.0) < 0.15  # noise is mean-zero
 
 
@@ -172,23 +170,23 @@ def _enumerate_vertices_objective(nu, rho):
 
 def test_projection_identity_when_already_probability():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
-    nu = SignedLatticeMeasure(np.array([0.25, 0.75]))
+    nu = np.array([0.25, 0.75])
     mu, obj = project_to_probability(nu, lat)
     assert obj == pytest.approx(0.0, abs=1e-10)
-    assert np.allclose(mu.weights, [0.25, 0.75], atol=1e-9)
+    assert np.allclose(mu, [0.25, 0.75], atol=1e-9)
 
 
 def test_projection_mass_destruction_example():
     # two anchors at distance 0.5, nu = (0.7, 0.5): destroy 0.2 -> objective 0.2
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
-    mu, obj = project_to_probability(SignedLatticeMeasure(np.array([0.7, 0.5])), lat)
+    mu, obj = project_to_probability(np.array([0.7, 0.5]), lat)
     assert obj == pytest.approx(0.2, abs=1e-9)
-    assert np.allclose(mu.weights.sum(), 1.0, atol=1e-9)
+    assert np.allclose(mu.sum(), 1.0, atol=1e-9)
 
 
 def test_projection_mass_creation_example():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
-    mu, obj = project_to_probability(SignedLatticeMeasure(np.array([0.4, 0.4])), lat)
+    mu, obj = project_to_probability(np.array([0.4, 0.4]), lat)
     assert obj == pytest.approx(0.2, abs=1e-9)
 
 
@@ -199,7 +197,7 @@ def test_projection_objective_matches_bfs_enumeration_oracle():
         ints = rng.choice(np.arange(-2, 3), size=(m, 1), replace=False)
         lat = Lattice(delta=0.8, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.3, 0.5, m), 2)
-        _, obj = project_to_probability(SignedLatticeMeasure(nu), lat)
+        _, obj = project_to_probability(nu, lat)
         oracle = _enumerate_vertices_objective(nu, anchor_distances(lat))
         assert obj == pytest.approx(oracle, abs=1e-7)
 
@@ -213,7 +211,7 @@ def test_projection_objective_matches_grid_plus_dual_oracle():
         lat = Lattice(delta=0.6, radius=2.0, d_prime=2, int_coords=ints)
         nu = np.round(rng.normal(0.3, 0.4, m), 2)
         rho = anchor_distances(lat)
-        _, obj = project_to_probability(SignedLatticeMeasure(nu), lat)
+        _, obj = project_to_probability(nu, lat)
         oracle = min(
             _bl_distance_oracle(nu, mu, rho) for mu in _simplex_grid(m, 40)
         )
@@ -237,9 +235,9 @@ def test_projection_flow_agrees_with_simplex():
         nu = np.round(rng.normal(0.2, 0.5, m), 3)
         rho = anchor_distances(lat)
         _, o1 = bl_projection_lp_dense(nu, rho)
-        mu, o2 = project_to_probability(SignedLatticeMeasure(nu), lat)
+        mu, o2 = project_to_probability(nu, lat)
         assert o1 == pytest.approx(o2, abs=1e-7)
-        assert _bl_distance_oracle(nu, mu.weights, rho) == pytest.approx(o2, abs=1e-7)
+        assert _bl_distance_oracle(nu, mu, rho) == pytest.approx(o2, abs=1e-7)
 
 
 def test_projection_transit_nodes_stay_exact():
@@ -259,8 +257,8 @@ def test_projection_transit_nodes_stay_exact():
         nu = np.round(rng.normal(0.1, 0.5, m), 3)
         assert _grid_graph(lat)[0] > m
         _, dense_obj = bl_projection_lp_dense(nu, anchor_distances(lat))
-        mu, grid_obj = project_to_probability(SignedLatticeMeasure(nu), lat)
-        assert mu.weights.shape == (m,)
+        mu, grid_obj = project_to_probability(nu, lat)
+        assert mu.shape == (m,)
         assert dense_obj == pytest.approx(grid_obj, abs=1e-7)
 
 
@@ -283,7 +281,7 @@ def test_l1_objective_sandwiches_l2_objective(d_prime):
     assert 10 <= lat.size <= 40
     for trial in range(4):
         nu = np.round(rng.normal(1.0 / lat.size, 2.0 / lat.size, lat.size), 3)
-        _, obj_l1 = project_to_probability(SignedLatticeMeasure(nu), lat)
+        _, obj_l1 = project_to_probability(nu, lat)
         _, obj_l2 = bl_projection_lp_dense(nu, anchor_distances(lat, "l2"))
         assert obj_l2 <= obj_l1 + 1e-9
         assert obj_l1 <= math.sqrt(d_prime) * obj_l2 + 1e-9
@@ -295,20 +293,20 @@ def test_projection_closed_form_when_delta_at_least_two():
         lat = build_lattice(1.5, delta, 2)
         for trial in range(6):
             nu = np.round(rng.normal(0.15, 0.3, lat.size), 3)
-            mu, obj = project_to_probability(SignedLatticeMeasure(nu), lat)
+            mu, obj = project_to_probability(nu, lat)
             rho = anchor_distances(lat)
             _, oracle = bl_projection_lp_dense(nu, rho)
             assert obj == pytest.approx(oracle, abs=1e-9)
             assert obj == pytest.approx(np.maximum(-nu, 0).sum() + abs(np.maximum(nu, 0).sum() - 1), abs=1e-12)
-            assert _bl_distance_oracle(nu, mu.weights, rho) == pytest.approx(obj, abs=1e-7)
+            assert _bl_distance_oracle(nu, mu, rho) == pytest.approx(obj, abs=1e-7)
 
 
 def test_closed_form_cuts_excess_from_smallest_cells():
     lat = Lattice(delta=2.0, radius=2.0, d_prime=1, int_coords=np.array([[-1], [0], [1], [2]]))
-    mu, obj = project_to_probability(SignedLatticeMeasure(np.array([0.3, 0.6, 0.3, 0.2])), lat)
+    mu, obj = project_to_probability(np.array([0.3, 0.6, 0.3, 0.2]), lat)
     # excess 0.4: all 0.2 of cell 3, then 0.2 of cell 0 (the lower index of the 0.3 tie)
     assert obj == pytest.approx(0.4, abs=1e-12)
-    assert np.allclose(mu.weights, [0.1, 0.6, 0.3, 0.0], atol=1e-12)
+    assert np.allclose(mu, [0.1, 0.6, 0.3, 0.0], atol=1e-12)
 
 
 def test_projection_output_is_probability_and_bounded_below():
@@ -318,22 +316,22 @@ def test_projection_output_is_probability_and_bounded_below():
         ints = rng.choice(np.arange(-3, 4), size=(m, 1), replace=False)
         lat = Lattice(delta=0.5, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.4, 0.7, m), 3)
-        mu, obj = project_to_probability(SignedLatticeMeasure(nu), lat)
-        assert (mu.weights >= -1e-12).all()
-        assert mu.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        mu, obj = project_to_probability(nu, lat)
+        assert (mu >= -1e-12).all()
+        assert mu.sum() == pytest.approx(1.0, abs=1e-9)
         assert obj >= abs(nu.sum() - 1.0) - 1e-9  # constant test function bound
 
 
 def test_measure_to_points_single_anchor():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[1]]))
-    pts = measure_to_points(ProbabilityLatticeMeasure(np.array([1.0])), lat, 5)
+    pts = measure_to_points(np.array([1.0]), lat, 5)
     assert pts.shape == (1, 5)
     assert (pts == 0.5).all()
 
 
 def test_measure_to_points_tie_goes_to_lower_index():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
-    pts = measure_to_points(ProbabilityLatticeMeasure(np.array([0.5, 0.5])), lat, 3)
+    pts = measure_to_points(np.array([0.5, 0.5]), lat, 3)
     assert pts.shape == (1, 3)
     assert (pts[0] == [0.0, 0.0, 0.5]).all()
 
@@ -343,7 +341,7 @@ def test_measure_to_points_total_is_target():
     lat = build_lattice(1.0, 0.4, 2)
     for trial in range(10):
         w = rng.random(lat.size)
-        mu = ProbabilityLatticeMeasure(w / w.sum())
+        mu = w / w.sum()
         pts = measure_to_points(mu, lat, 37)
         assert pts.shape == (2, 37)
 
