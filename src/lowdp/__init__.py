@@ -30,7 +30,6 @@ from .metrics import (
     wasserstein2,
 )
 from .noise import (
-    NoiseScale,
     SeededGenerator,
     laplace_inverse_cdf,
     sample_integer_laplace,
@@ -64,7 +63,6 @@ __all__ = [
     "InvalidRegimeError",
     "LatticeTooLargeError",
     "LowdpError",
-    "NoiseScale",
     "OutOfDomainError",
     "PipelineConfig",
     "PrivateCovariance",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .noise import NoiseScale, SeededGenerator, sample_integer_laplace, sample_laplace
+from .noise import SeededGenerator, sample_integer_laplace, sample_laplace
 
 __all__ = ["audit_mechanism", "AUDIT_MECHANISMS"]
 
@@ -66,14 +66,14 @@ def audit_mechanism(
         raise InvalidParameterError("sample count must be positive")
 
     if mechanism == "integer-laplace-count":
-        scale = NoiseScale(1.0 / epsilon)
+        sigma = 1.0 / epsilon
         base_a, base_b = 10, 11  # neighboring counts differ by one
-        out_a = base_a + np.atleast_1d(sample_integer_laplace(scale, gen.split("a"), size=samples))
-        out_b = base_b + np.atleast_1d(sample_integer_laplace(scale, gen.split("b"), size=samples))
+        out_a = base_a + sample_integer_laplace(sigma, gen.split("a"), size=samples)
+        out_b = base_b + sample_integer_laplace(sigma, gen.split("b"), size=samples)
         # partition: individual integers near the counts, aggregated tails
         # (the integer Laplace has geometric tails, so each aggregated tail
         # has log-ratio exactly +-epsilon with a large count behind it)
-        window = int(np.ceil(5.0 * scale.sigma))
+        window = int(np.ceil(5.0 * sigma))
         lo, hi = base_a - window, base_b + window
         out_a = np.clip(out_a, lo - 1, hi + 1)
         out_b = np.clip(out_b, lo - 1, hi + 1)
@@ -85,8 +85,8 @@ def audit_mechanism(
         sigma = 3.0 * d * d / (epsilon * n)
         delta_entry = 6.0 / n  # worst-case per-entry shift between neighbors
         value_a, value_b = 0.25, 0.25 + delta_entry
-        out_a = value_a + np.atleast_1d(sample_laplace(NoiseScale(sigma), gen.split("a"), size=samples))
-        out_b = value_b + np.atleast_1d(sample_laplace(NoiseScale(sigma), gen.split("b"), size=samples))
+        out_a = value_a + sample_laplace(sigma, gen.split("a"), size=samples)
+        out_b = value_b + sample_laplace(sigma, gen.split("b"), size=samples)
         lo = min(out_a.min(), out_b.min())
         hi = max(out_a.max(), out_b.max())
         edges = np.linspace(lo, hi, n_bins + 1)

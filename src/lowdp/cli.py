@@ -2,7 +2,9 @@
 
 Subcommands read input files and write machine-readable outputs (CSV for
 point sets, JSON for records and summaries); the human log goes to stderr.
-Exit codes: 0 success, 2 input/config validation failure, 3 runtime failure.
+Exit codes: 0 success, 2 input or config validation failure (every library
+error but a solver failure), 3 runtime failure (a solver failure or an
+unexpected exception).
 """
 
 from __future__ import annotations
@@ -19,15 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import AUDIT_MECHANISMS, audit_mechanism
-from .errors import (
-    IngestError,
-    InvalidBudgetError,
-    InvalidDimensionError,
-    InvalidParameterError,
-    InvalidRegimeError,
-    LowdpError,
-    SizeOverflowError,
-)
+from .errors import IngestError, LowdpError, SizeOverflowError, SolverError
 from .metrics import wasserstein1, wasserstein1_sampled, wasserstein2
 from .noise import SeededGenerator
 from .pca import Dataset
@@ -152,7 +146,6 @@ def _config_from_args(args, epsilon, seed, m_target=None) -> PipelineConfig:
         budget_split=args.budget_split,
         delta_mode=args.delta_mode,
         delta_scale=args.delta_scale,
-        zero_noise=args.zero_noise,
         m_target=m_target,
     )
 
@@ -311,21 +304,24 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _add_eval_options(parser):
-    parser.add_argument("--metric", choices=("linf", "l2"), default="linf")
-    parser.add_argument("--eval-max-cells", type=int, default=1_000_000,
-                        help="largest exact transport instance before sampling")
-    parser.add_argument("--eval-k", type=int, default=1024, help="subsample size of the sampled estimator")
-    parser.add_argument("--eval-repeats", type=int, default=2)
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _dimension(text: str):
     """The --dprime value: 'auto' or a positive integer."""
-    if text == "auto":
-        return text
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a positive integer, got {text!r}")
-    return int(text)
+    return text if text == "auto" else _positive_int(text)
+
+
+def _add_eval_options(parser):
+    parser.add_argument("--metric", choices=("linf", "l2"), default="linf")
+    parser.add_argument("--eval-max-cells", type=_positive_int, default=1_000_000,
+                        help="largest exact transport instance before sampling")
+    parser.add_argument("--eval-k", type=_positive_int, default=1024, help="subsample size of the sampled estimator")
+    parser.add_argument("--eval-repeats", type=_positive_int, default=2)
 
 
 def _comma_list(convert):
@@ -357,8 +353,6 @@ def _add_pipeline_options(parser):
     parser.add_argument("--delta-mode", choices=("alg5", "proof"), default="alg5", dest="delta_mode")
     parser.add_argument("--delta-scale", type=float, default=1.0, dest="delta_scale")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--zero-noise", action="store_true", dest="zero_noise",
-                        help="test mode: disable all perturbation (output is NOT private)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--epsilon", type=float, required=True, help="total privacy budget")
     _add_pipeline_options(p_gen)
     p_gen.add_argument("--rescale", action="store_true", help="min-max rescale columns into [0, 1]")
-    p_gen.add_argument("--m-target", type=int, default=None, dest="m_target")
+    p_gen.add_argument("--m-target", type=_positive_int, default=None, dest="m_target")
     p_gen.add_argument("--evaluate", action="store_true", help="also compute W1 against the input")
     _add_eval_options(p_gen)
     p_gen.set_defaults(func=cmd_generate)
@@ -391,15 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="accuracy scaling experiment on planted subspace data")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--dim", type=int, required=True, help="ambient dimension d")
-    p_sweep.add_argument("--planted-dprime", type=int, required=True, dest="planted_dprime")
+    p_sweep.add_argument("--dim", type=_positive_int, required=True, help="ambient dimension d")
+    p_sweep.add_argument("--planted-dprime", type=_positive_int, required=True, dest="planted_dprime")
     p_sweep.add_argument("--n-grid", type=_comma_list(int), required=True, dest="n_grid",
                          help="comma-separated dataset sizes")
     p_sweep.add_argument("--epsilon-grid", type=_comma_list(float), default=[1.0], dest="epsilon_grid",
                          help="comma-separated total privacy budgets")
     p_sweep.add_argument("--epsilon", action=_EpsilonGridOnly, help=argparse.SUPPRESS)
-    p_sweep.add_argument("--trials", type=int, default=10)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--trials", type=_positive_int, default=10)
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     _add_pipeline_options(p_sweep)
     _add_eval_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -407,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="Monte-Carlo differential privacy audit")
     p_audit.add_argument("--mechanism", choices=AUDIT_MECHANISMS, required=True)
     p_audit.add_argument("--epsilon", type=float, required=True)
-    p_audit.add_argument("--samples", type=int, default=1_000_000)
+    p_audit.add_argument("--samples", type=_positive_int, default=1_000_000)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--out", required=True, help="output JSON path")
     p_audit.set_defaults(func=cmd_audit)
@@ -421,21 +415,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    validation_errors = (
-        IngestError,
-        InvalidParameterError,
-        InvalidBudgetError,
-        InvalidDimensionError,
-        InvalidRegimeError,
-    )
     try:
         return args.func(args)
-    except validation_errors as exc:
-        _log(f"error: {exc}")
-        return EXIT_VALIDATION
-    except LowdpError as exc:
+    except SolverError as exc:
         _log(f"error: {exc}")
         return EXIT_RUNTIME
+    except LowdpError as exc:
+        _log(f"error: {exc}")
+        return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive
         _log(f"internal error: {exc!r}")
         return EXIT_RUNTIME

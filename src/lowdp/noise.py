@@ -4,20 +4,21 @@ All randomness flows through :class:`SeededGenerator`, a counter-based
 (Philox) stream with named, independently derived sub-streams.  Samplers are
 pure functions of (parameters, generator state): a fixed seed reproduces the
 same draws bit-for-bit, and splitting a sub-stream for one pipeline stage
-never perturbs the draws of another.
+never perturbs the draws of another.  A noise scale is a plain float, which
+every sampler checks to be finite and strictly positive.  The Laplace
+samplers read their uniforms only through ``open_uniform``, and each maps
+u = 1/2 to exactly 0.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
 __all__ = [
-    "NoiseScale",
     "SeededGenerator",
     "laplace_inverse_cdf",
     "sample_laplace",
@@ -28,28 +29,12 @@ __all__ = [
 _U53 = float(1 << 53)
 
 
-@dataclass(frozen=True)
-class NoiseScale:
-    """Scale parameter of a continuous or integer Laplace distribution.
-
-    ``sigma`` is in the same units as the quantity being perturbed and must
-    be strictly positive.
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        sigma = float(self.sigma)
-        if not np.isfinite(sigma) or sigma <= 0.0:
-            raise InvalidParameterError(f"noise scale must be positive, got {self.sigma!r}")
-        object.__setattr__(self, "sigma", sigma)
-
-
-def _as_sigma(scale) -> float:
-    """Accept a NoiseScale or a bare positive float."""
-    if isinstance(scale, NoiseScale):
-        return scale.sigma
-    return NoiseScale(float(scale)).sigma
+def _check_sigma(sigma) -> float:
+    """The scale as a float; it must be finite and strictly positive."""
+    value = float(sigma)
+    if not np.isfinite(value) or value <= 0.0:
+        raise InvalidParameterError(f"noise scale must be positive, got {value!r}")
+    return value
 
 
 class SeededGenerator:
@@ -106,26 +91,26 @@ def laplace_inverse_cdf(u, sigma):
     return x if x.ndim else float(x)
 
 
-def sample_laplace(scale, gen: SeededGenerator, size=None):
+def sample_laplace(sigma: float, gen: SeededGenerator, size=None):
     """Draw from the continuous Laplace distribution with the given scale.
 
     Density (1/(2 sigma)) exp(-|x| / sigma); implemented by inverse CDF on a
     uniform draw from the open unit interval, so the output is finite and
     exactly reproducible for a fixed stream.
     """
-    sigma = _as_sigma(scale)
+    sigma = _check_sigma(sigma)
     u = gen.open_uniform(size=size)
     return laplace_inverse_cdf(u, sigma)
 
 
-def sample_integer_laplace(scale, gen: SeededGenerator, size=None):
+def sample_integer_laplace(sigma: float, gen: SeededGenerator, size=None):
     """Draw from the integer Laplace distribution on Z.
 
     P(Z = z) = ((1-p)/(1+p)) * exp(-|z|/sigma) with p = exp(-1/sigma),
     realized exactly as the difference of two i.i.d. geometric variables
     with success probability 1 - p.
     """
-    sigma = _as_sigma(scale)
+    sigma = _check_sigma(sigma)
     log_p = -1.0 / sigma
     u1 = gen.open_uniform(size=size)
     u2 = gen.open_uniform(size=size)
@@ -135,7 +120,7 @@ def sample_integer_laplace(scale, gen: SeededGenerator, size=None):
     return z if np.ndim(z) else int(z)
 
 
-def sample_symmetric_laplace_matrix(d: int, scale, gen: SeededGenerator) -> np.ndarray:
+def sample_symmetric_laplace_matrix(d: int, sigma: float, gen: SeededGenerator) -> np.ndarray:
     """Symmetric d x d matrix with Laplace(sigma) upper triangle.
 
     Off-diagonal entries A_ij = A_ji are a single Laplace draw each; the
@@ -145,7 +130,6 @@ def sample_symmetric_laplace_matrix(d: int, scale, gen: SeededGenerator) -> np.n
     d = int(d)
     if d < 1:
         raise InvalidParameterError(f"matrix dimension must be >= 1, got {d}")
-    sigma = _as_sigma(scale)
     draws = sample_laplace(sigma, gen, size=d * (d + 1) // 2)
     upper = np.zeros((d, d))
     upper[np.triu_indices(d)] = draws

@@ -23,7 +23,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
-from .noise import NoiseScale, SeededGenerator, sample_laplace, sample_symmetric_laplace_matrix
+from .noise import SeededGenerator, sample_laplace, sample_symmetric_laplace_matrix
 
 __all__ = [
     "Dataset",
@@ -110,14 +110,13 @@ class PrivateCovariance:
 
     ``spectrum`` is sorted non-increasing (algebraic order; the matrix may be
     indefinite) and ``eigenvectors[:, k]`` matches ``spectrum[k]``.
-    ``non_private`` marks zero-noise test output that must not be released.
+    ``noise_scale`` is the per-entry Laplace scale of the added matrix.
     """
 
     matrix: np.ndarray
-    noise_scale: NoiseScale
+    noise_scale: float
     spectrum: np.ndarray
     eigenvectors: np.ndarray
-    non_private: bool = False
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,14 @@ class ProjectedDataset:
 
     ``coords[:, i] = basis^T (X_i - private_mean)``; every coordinate column
     has l2 norm at most ``radius = sqrt(d) + ||private_mean||_2``.
+    ``noise_scale`` is the per-coordinate Laplace scale of the mean's noise.
     """
 
     basis: np.ndarray
     coords: np.ndarray
     radius: float
     private_mean: np.ndarray
-    non_private: bool = False
+    noise_scale: float
 
 
 def centered_covariance(data) -> CenteredCovariance:
@@ -150,30 +150,20 @@ def _eigh_descending(matrix: np.ndarray):
     return w[order], v[:, order]
 
 
-def private_covariance(data, epsilon: float, gen: SeededGenerator, *, zero_noise: bool = False) -> PrivateCovariance:
+def private_covariance(data, epsilon: float, gen: SeededGenerator) -> PrivateCovariance:
     """Add a symmetric Laplace matrix at scale 3 d^2 / (eps n) to the covariance.
 
-    ``zero_noise=True`` skips the perturbation for oracle comparisons; the
-    output is then flagged non-private.
+    The noise is always drawn; the eigendecomposition is of the noisy matrix.
     """
     dataset = _as_dataset(data)
     d, n = dataset.points.shape
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
     cov = centered_covariance(dataset)
-    sigma = NoiseScale(3.0 * d * d / (epsilon * n))
-    if zero_noise:
-        noisy = cov.matrix.copy()
-    else:
-        noisy = cov.matrix + sample_symmetric_laplace_matrix(d, sigma, gen)
+    sigma = 3.0 * d * d / (epsilon * n)
+    noisy = cov.matrix + sample_symmetric_laplace_matrix(d, sigma, gen)
     spectrum, vecs = _eigh_descending(noisy)
-    return PrivateCovariance(
-        matrix=noisy,
-        noise_scale=sigma,
-        spectrum=spectrum,
-        eigenvectors=vecs,
-        non_private=zero_noise,
-    )
+    return PrivateCovariance(matrix=noisy, noise_scale=sigma, spectrum=spectrum, eigenvectors=vecs)
 
 
 def top_eigenvectors(cov: PrivateCovariance, d_prime: int) -> np.ndarray:
@@ -222,8 +212,6 @@ def noisy_projection(
     d_prime: int,
     epsilon: float,
     gen: SeededGenerator,
-    *,
-    zero_noise: bool = False,
 ) -> ProjectedDataset:
     """Shift by a privatized mean and project onto the private subspace.
 
@@ -236,11 +224,8 @@ def noisy_projection(
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
     basis = top_eigenvectors(cov, d_prime)
-    if zero_noise:
-        lam = np.zeros(d)
-    else:
-        lam = np.asarray(sample_laplace(NoiseScale(d / (epsilon * n)), gen, size=d))
-    private_mean = dataset.mean + lam
+    sigma = d / (epsilon * n)
+    private_mean = dataset.mean + sample_laplace(sigma, gen, size=d)
     coords = basis.T @ (dataset.points - private_mean[:, None])
     radius = float(np.sqrt(d) + np.linalg.norm(private_mean))
     return ProjectedDataset(
@@ -248,5 +233,5 @@ def noisy_projection(
         coords=coords,
         radius=radius,
         private_mean=private_mean,
-        non_private=zero_noise or cov.non_private,
+        noise_scale=sigma,
     )

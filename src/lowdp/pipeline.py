@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidBudgetError, InvalidDimensionError, InvalidParameterError, InvalidRegimeError
 from .metrics import projection_diagnostics
-from .noise import NoiseScale, SeededGenerator, sample_laplace
+from .noise import SeededGenerator, sample_laplace
 from .pca import Dataset, noisy_projection, private_covariance, select_dimension
 from .pmm import run_pmm
 from .psmm import run_psmm
@@ -49,7 +49,6 @@ class PipelineConfig:
     budget_split: str = "three"     # three | four
     delta_mode: str = "alg5"        # psmm lattice spacing rule
     delta_scale: float = 1.0
-    zero_noise: bool = False
     m_target: int = None            # psmm output size; defaults to n
 
     def __post_init__(self):
@@ -62,7 +61,11 @@ class PipelineConfig:
         if self.delta_mode not in ("alg5", "proof"):
             raise InvalidParameterError(f"delta_mode must be alg5|proof, got {self.delta_mode!r}")
         if self.d_prime != "auto":
-            whole = isinstance(self.d_prime, numbers.Real) and float(self.d_prime).is_integer()
+            whole = (
+                isinstance(self.d_prime, numbers.Real)
+                and not isinstance(self.d_prime, bool)
+                and float(self.d_prime).is_integer()
+            )
             if not (whole and self.d_prime >= 1):
                 raise InvalidDimensionError(f"d_prime must be 'auto' or an integer >= 1, got {self.d_prime!r}")
             object.__setattr__(self, "d_prime", int(self.d_prime))
@@ -115,7 +118,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
 
     root = SeededGenerator(config.seed)
 
-    cov = private_covariance(dataset, eps["covariance"], root.split("covariance"), zero_noise=config.zero_noise)
+    cov = private_covariance(dataset, eps["covariance"], root.split("covariance"))
     if config.d_prime == "auto":
         d_prime = select_dimension(cov, config.tau, d)
     else:
@@ -123,23 +126,14 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
             raise InvalidDimensionError(f"d_prime={config.d_prime} exceeds data dimension {d}")
         d_prime = config.d_prime
 
-    projected = noisy_projection(
-        dataset, cov, d_prime, eps["projection"], root.split("projection"), zero_noise=config.zero_noise
-    )
+    projected = noisy_projection(dataset, cov, d_prime, eps["projection"], root.split("projection"))
 
     subroutine = config.subroutine
     if subroutine == "auto":
         subroutine = "pmm" if d_prime <= 2 else "psmm"
     sub_gen = root.split("subroutine")
     if subroutine == "pmm":
-        coords_out, sub_info = run_pmm(
-            projected.coords,
-            projected.radius,
-            eps["subroutine"],
-            n,
-            sub_gen,
-            zero_noise=config.zero_noise,
-        )
+        coords_out, sub_info = run_pmm(projected.coords, projected.radius, eps["subroutine"], n, sub_gen)
     else:
         coords_out, sub_info = run_psmm(
             projected.coords,
@@ -148,7 +142,6 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
             n,
             d,
             sub_gen,
-            zero_noise=config.zero_noise,
             delta_mode=config.delta_mode,
             delta_scale=config.delta_scale,
             m_target=config.m_target,
@@ -163,12 +156,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
 
     lifted = projected.basis @ coords_out
     if config.budget_split == "four":
-        if config.zero_noise:
-            add_noise = np.zeros(d)
-        else:
-            scale = NoiseScale(d / (eps["add_back"] * n))
-            add_noise = np.asarray(sample_laplace(scale, root.split("add-back"), size=d))
-        add_back_mean = dataset.mean + add_noise
+        add_back_mean = dataset.mean + sample_laplace(d / (eps["add_back"] * n), root.split("add-back"), size=d)
     else:
         add_back_mean = projected.private_mean  # saved private mean, no extra budget
     pre_clamp = lifted + add_back_mean[:, None]
@@ -201,8 +189,8 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
             for name, frac in fractions.items()
         },
         "noise_scales": {
-            "covariance_entry": cov.noise_scale.sigma,
-            "mean_per_coordinate": d / (eps["projection"] * n),
+            "covariance_entry": cov.noise_scale,
+            "mean_per_coordinate": projected.noise_scale,
         },
         "radius": projected.radius,
         "subroutine_info": sub_info,
@@ -210,7 +198,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
         "draw_streams": ["covariance", "projection", "subroutine", "add-back"][
             : 4 if config.budget_split == "four" else 3
         ],
-        "non_private": bool(config.zero_noise),
+        "non_private": False,  # every stage always draws its noise
         "warning": "empty-output" if m == 0 else None,
     }
     intermediates = None

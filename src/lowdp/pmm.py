@@ -25,7 +25,7 @@ from .errors import (
     InvalidRegimeError,
     OutOfDomainError,
 )
-from .noise import NoiseScale, SeededGenerator, sample_integer_laplace
+from .noise import SeededGenerator, sample_integer_laplace
 
 __all__ = [
     "CountTree",
@@ -169,8 +169,6 @@ def noisy_counts(
     coords: np.ndarray,
     epsilon: float,
     gen: SeededGenerator,
-    *,
-    zero_noise: bool = False,
 ) -> CountTree:
     """Fill raw counts by point membership and perturb every node's count.
 
@@ -198,12 +196,7 @@ def noisy_counts(
     scales = _level_scales(epsilon, tree.depth, tree.d_prime)
     noisy = []
     for level in range(tree.depth + 1):
-        if zero_noise:
-            lam = np.zeros(1 << level, dtype=np.int64)
-        else:
-            lam = np.atleast_1d(
-                sample_integer_laplace(NoiseScale(scales[level]), gen.split(f"level-{level}"), size=1 << level)
-            )
+        lam = sample_integer_laplace(scales[level], gen.split(f"level-{level}"), size=1 << level)
         noisy.append(np.maximum(raw[level] + lam, 0))
     return replace(tree, raw=raw, noisy=noisy, scales=scales)
 
@@ -247,18 +240,15 @@ def enforce_consistency(tree: CountTree) -> CountTree:
     return replace(tree, consistent=consistent)
 
 
-def sample_synthetic(tree: CountTree, gen: SeededGenerator, *, mode: str = "uniform") -> np.ndarray:
+def sample_synthetic(tree: CountTree, gen: SeededGenerator) -> np.ndarray:
     """Emit each leaf's consistent count of points from that leaf's box.
 
-    Leaves are visited in theta-lexicographic order.  ``mode='uniform'``
-    draws points independently and uniformly inside the leaf;
-    ``mode='leaf-center'`` places them deterministically at the center.
-    Returns a d' x m matrix (empty when the total count is zero).
+    Leaves are visited in theta-lexicographic order, and each point is drawn
+    independently and uniformly inside its leaf.  Returns a d' x m matrix
+    (empty when the total count is zero).
     """
     if tree.consistent is None:
         raise InvalidParameterError("consistency must be enforced before sampling")
-    if mode not in ("uniform", "leaf-center"):
-        raise InvalidParameterError(f"unknown sampling mode {mode!r}")
     counts = tree.consistent[tree.depth]
     total = int(counts.sum())
     if total == 0:
@@ -266,12 +256,8 @@ def sample_synthetic(tree: CountTree, gen: SeededGenerator, *, mode: str = "unif
     lo, hi = tree.leaf_boxes()
     lo_rep = np.repeat(lo, counts, axis=0)
     hi_rep = np.repeat(hi, counts, axis=0)
-    if mode == "leaf-center":
-        points = (lo_rep + hi_rep) / 2.0
-    else:
-        u = gen.split("sample").random((total, tree.d_prime))
-        points = lo_rep + u * (hi_rep - lo_rep)
-    return points.T
+    u = gen.split("sample").random((total, tree.d_prime))
+    return (lo_rep + u * (hi_rep - lo_rep)).T
 
 
 def max_leaf_side(tree: CountTree) -> float:
@@ -285,17 +271,14 @@ def run_pmm(
     epsilon: float,
     n: int,
     gen: SeededGenerator,
-    *,
-    zero_noise: bool = False,
-    mode: str = "uniform",
 ) -> tuple[np.ndarray, dict]:
     """Full subroutine: partition, noisy counts, consistency, sampling."""
     d_prime = int(np.asarray(coords).shape[0])
     depth, _ = depth_and_scales(epsilon, n, d_prime)
     tree = build_partition(radius, d_prime, depth)
-    tree = noisy_counts(tree, coords, epsilon, gen, zero_noise=zero_noise)
+    tree = noisy_counts(tree, coords, epsilon, gen)
     tree = enforce_consistency(tree)
-    points = sample_synthetic(tree, gen, mode=mode)
+    points = sample_synthetic(tree, gen)
     info = {
         "depth": depth,
         "level_scales": tree.scales.tolist(),

@@ -36,7 +36,7 @@ from .errors import (
     LatticeTooLargeError,
     SolverError,
 )
-from .noise import NoiseScale, SeededGenerator, sample_integer_laplace
+from .noise import SeededGenerator, sample_integer_laplace
 
 __all__ = [
     "Lattice",
@@ -163,15 +163,12 @@ def perturb_to_signed_measure(
     epsilon: float,
     n: int,
     gen: SeededGenerator,
-    *,
-    zero_noise: bool = False,
 ) -> np.ndarray:
     """The signed measure nu: weights (count + integer Laplace(1/eps)) / n per anchor."""
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
-    noisy = np.asarray(counts, dtype=np.int64)
-    if not zero_noise:
-        noisy = noisy + sample_integer_laplace(NoiseScale(1.0 / epsilon), gen.split("cells"), size=noisy.shape[0])
+    counts = np.asarray(counts, dtype=np.int64)
+    noisy = counts + sample_integer_laplace(1.0 / epsilon, gen.split("cells"), size=counts.shape[0])
     return noisy.astype(np.float64) / n
 
 
@@ -311,7 +308,6 @@ def run_psmm(
     d_ambient: int,
     gen: SeededGenerator,
     *,
-    zero_noise: bool = False,
     delta_mode: str = "alg5",
     delta_scale: float = 1.0,
     m_target: int = None,
@@ -324,7 +320,7 @@ def run_psmm(
     delta = min(delta, 2.0 * radius)
     lattice = build_lattice(radius, delta, d_prime)
     counts = cell_counts(coords, lattice)
-    nu = perturb_to_signed_measure(counts, epsilon, n, gen, zero_noise=zero_noise)
+    nu = perturb_to_signed_measure(counts, epsilon, n, gen)
     mu, objective = project_to_probability(nu, lattice)
     size = int(m_target) if m_target is not None else int(n)
     points = measure_to_points(mu, lattice, size)

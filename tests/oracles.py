@@ -1,4 +1,5 @@
-"""Brute-force, dense-LP and recursive oracles the tests check the library against."""
+"""Brute-force, dense-LP and recursive oracles the tests check the library
+against, and a noiseless generator for runs whose release equals its input."""
 
 import itertools
 import math
@@ -6,6 +7,7 @@ import math
 import numpy as np
 
 from lowdp.metrics import ground_distances
+from lowdp.noise import SeededGenerator
 from simplex import solve_dense_lp
 
 
@@ -102,3 +104,27 @@ def classify_by_recursion(tree, coords):
         lo[:, axis] = np.where(upper, mid, lo[:, axis])
         hi[:, axis] = np.where(upper, hi[:, axis], mid)
     return idx
+
+
+class NoiselessGenerator(SeededGenerator):
+    """A SeededGenerator whose open-interval uniforms are all exactly 1/2.
+
+    Every Laplace sampler reads its uniforms only through ``open_uniform``
+    and maps 1/2 to exactly 0 (the continuous one through sign(0) = 0, the
+    integer one through two equal geometric draws), so each release returns
+    its input unchanged.  ``random``, ``choice``, ``integers`` and
+    ``standard_normal`` are the seeded streams of a SeededGenerator on the
+    same seed and path, and ``split`` derives another NoiselessGenerator.
+    """
+
+    def split(self, label) -> "NoiselessGenerator":
+        return NoiselessGenerator(self.seed, self.path + (str(label),))
+
+    def open_uniform(self, size=None):
+        return np.full(size, 0.5) if size is not None else 0.5
+
+
+def leaf_centers(tree):
+    """Each leaf's consistent count of copies of its center, d' x m, leaves in theta order."""
+    lo, hi = tree.leaf_boxes()
+    return np.repeat((lo + hi) / 2.0, tree.consistent[tree.depth], axis=0).T

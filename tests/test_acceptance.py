@@ -20,9 +20,9 @@ from lowdp.noise import SeededGenerator, sample_symmetric_laplace_matrix
 from lowdp.pca import centered_covariance
 from lowdp.pipeline import PipelineConfig, generate
 from lowdp.planted import planted_subspace_dataset
-from lowdp.pmm import run_pmm
+from lowdp.pmm import build_partition, depth_and_scales, enforce_consistency, max_leaf_side, noisy_counts, run_pmm
 from lowdp.psmm import Lattice, project_to_probability
-from oracles import anchor_distances, wasserstein1_bruteforce
+from oracles import NoiselessGenerator, anchor_distances, leaf_centers, wasserstein1_bruteforce
 
 
 def _report(number, passed, detail):
@@ -229,15 +229,13 @@ def test_criterion_6_lp_projection_optimality():
 
 
 def test_criterion_7_pmm_structure():
-    """Consistency invariants on noisy runs; zero-noise mass preservation and
+    """Consistency invariants on noisy runs; noiseless mass preservation and
     the within-leaf W1 bound."""
     gen = SeededGenerator(77)
     structure_ok = True
     for trial in range(20):
         n = int(64 + 37 * trial)
         coords = (gen.split(f"c{trial}").random((2, n)) - 0.5) * 2.4
-        from lowdp.pmm import build_partition, depth_and_scales, enforce_consistency, noisy_counts
-
         depth, _ = depth_and_scales(0.5, n, 2)
         tree = noisy_counts(build_partition(1.2, 2, depth), coords, 0.5, gen.split(f"n{trial}"))
         tree = enforce_consistency(tree)
@@ -248,18 +246,21 @@ def test_criterion_7_pmm_structure():
             structure_ok &= bool((child >= 0).all())
 
     coords = (SeededGenerator(78).random((2, 200)) - 0.5) * 1.8
-    out_center, info = run_pmm(coords, 1.0, 1.0, 200, SeededGenerator(79), zero_noise=True, mode="leaf-center")
+    depth, _ = depth_and_scales(1.0, 200, 2)
+    tree = enforce_consistency(noisy_counts(build_partition(1.0, 2, depth), coords, 1.0, NoiselessGenerator(79)))
+    out_center = leaf_centers(tree)
+    leaf_side = max_leaf_side(tree)
     mass_ok = out_center.shape[1] == 200
     w1_center = wasserstein1(coords, out_center, "linf")
-    radius_ok = w1_center <= info["max_leaf_side"] / 2.0 + 1e-12
-    out_uniform, info_u = run_pmm(coords, 1.0, 1.0, 200, SeededGenerator(80), zero_noise=True)
+    radius_ok = w1_center <= leaf_side / 2.0 + 1e-12
+    out_uniform, info_u = run_pmm(coords, 1.0, 1.0, 200, NoiselessGenerator(80))
     diameter_ok = wasserstein1(coords, out_uniform, "linf") <= info_u["max_leaf_side"] + 1e-12
     passed = structure_ok and mass_ok and radius_ok and diameter_ok
     assert _report(
         7,
         passed,
-        f"consistency on 20 noisy runs; zero-noise m=n, W1 {w1_center:.4f} <= leaf radius "
-        f"{info['max_leaf_side'] / 2:.4f}",
+        f"consistency on 20 noisy runs; noiseless m=n, W1 {w1_center:.4f} <= leaf radius "
+        f"{leaf_side / 2:.4f}",
     )
 
 

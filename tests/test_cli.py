@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import lowdp.cli
 from lowdp.cli import ingest, main, write_points_csv
-from lowdp.errors import IngestError
+from lowdp.errors import IngestError, SolverError
 from lowdp.noise import SeededGenerator
 from lowdp.planted import planted_subspace_dataset
 
@@ -167,6 +168,68 @@ def test_sweep_rejects_bad_grid_as_usage_error(tmp_path, capsys, grid):
     assert main(args) == 2
     assert not out.exists()
     assert grid[0] in capsys.readouterr().err
+
+
+def _planted_csv(tmp_path, n=50, d=3, planted=2):
+    data, _ = planted_subspace_dataset(n, d, planted, SeededGenerator(3))
+    inp = tmp_path / "ok.csv"
+    write_points_csv(inp, data.points)
+    return inp
+
+
+def test_validation_errors_exit_2(tmp_path, capsys):
+    one_row = tmp_path / "one.csv"
+    _write_csv(one_row, [[0.5, 0.5]])
+    assert main(_generate_args(one_row, tmp_path / "o1")) == 2
+    assert "n >= 2" in capsys.readouterr().err
+
+    # a lattice over the anchor cap names the flag that coarsens it
+    inp = _planted_csv(tmp_path, n=200, d=4, planted=3)
+    args = _generate_args(inp, tmp_path / "o2", extra=("--delta-scale", "0.001"))
+    args[args.index("--dprime") + 1] = "3"
+    args[args.index("--subroutine") + 1] = "psmm"
+    assert main(args) == 2
+    assert "--delta-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [SolverError("no optimum"), RuntimeError("bug")], ids=["solver", "unexpected"])
+def test_runtime_failures_exit_3(tmp_path, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(lowdp.cli, "generate", fail)
+    assert main(_generate_args(_planted_csv(tmp_path), tmp_path / "o")) == 3
+
+
+COUNT_FLAGS = {
+    "generate": ["--m-target", "--eval-k", "--eval-repeats", "--eval-max-cells"],
+    "sweep": ["--trials", "--jobs", "--dim", "--planted-dprime", "--eval-k", "--eval-repeats", "--eval-max-cells"],
+    "audit": ["--samples"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, f, v) for c, flags in COUNT_FLAGS.items() for f in flags for v in ("0", "-2")],
+)
+def test_count_flags_reject_nonpositive_values(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    if command == "generate":
+        base = _generate_args(_planted_csv(tmp_path), out)
+    elif command == "sweep":
+        base = [
+            "sweep", "--out", str(out), "--dim", "4", "--planted-dprime", "2",
+            "--n-grid", "128", "--trials", "1", "--dprime", "2", "--subroutine", "pmm",
+        ]
+    else:
+        base = ["audit", "--mechanism", "integer-laplace-count", "--epsilon", "1", "--out", str(out)]
+    assert main([*base, f"{flag}={value}"]) == 2
+    assert not out.exists()
+    assert flag in capsys.readouterr().err
+
+
+def test_zero_noise_flag_is_gone(tmp_path):
+    assert main(_generate_args(_planted_csv(tmp_path), tmp_path / "o", extra=("--zero-noise",))) == 2
 
 
 def test_generate_with_evaluation(tmp_path):

@@ -5,9 +5,10 @@ splits and PSMM on both projection paths (the grid-graph LP, and the
 closed form for delta >= 2).  Their output size, PSMM anchor
 multiplicities, PMM ``max_leaf_side`` and check booleans are pinned
 exactly, the synthetic points to 1e-12, and every other provenance float
-to 1e-12 relative.  PMM consistent leaf counts are pinned exactly from
-``run_pmm`` on fixed coordinates.  The pinned values live in
-``golden.json``; after an intended output change, rewrite it with
+to 1e-12 relative.  PMM consistent leaf counts are pinned exactly on
+fixed coordinates, and ``run_pmm`` must emit that many points inside each
+leaf.  The pinned values live in ``golden.json``; after an intended
+output change, rewrite it with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -71,13 +72,14 @@ def _pinned_coords(d_prime, radius, n, seed):
 def _run_tree(name):
     d_prime, radius, n, epsilon, seed = PMM_TREE_CASES[name]
     coords = _pinned_coords(d_prime, radius, n, seed)
-    points, info = run_pmm(coords, radius, epsilon, n, SeededGenerator(seed), mode="leaf-center")
+    points, info = run_pmm(coords, radius, epsilon, n, SeededGenerator(seed))
     depth, _ = depth_and_scales(epsilon, n, d_prime)
     tree = noisy_counts(build_partition(radius, d_prime, depth), coords, epsilon, SeededGenerator(seed))
     counts = enforce_consistency(tree).consistent[depth]
     lo, hi = tree.leaf_boxes()
-    # run_pmm emits each leaf's consistent count at the leaf center
-    assert np.array_equal(points, np.repeat((lo + hi) / 2.0, counts, axis=0).T)
+    # run_pmm emits each leaf's consistent count of points inside that leaf, leaf by leaf
+    assert points.shape == (d_prime, counts.sum())
+    assert (np.repeat(lo, counts, axis=0) <= points.T).all() and (points.T <= np.repeat(hi, counts, axis=0)).all()
     return {"leaf_counts": counts.tolist(), "max_leaf_side": info["max_leaf_side"], "depth": info["depth"]}
 
 

@@ -1,13 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import NoiselessGenerator
 
 from lowdp.errors import InvalidParameterError
 from lowdp.noise import (
-    NoiseScale,
     SeededGenerator,
     laplace_inverse_cdf,
     sample_integer_laplace,
@@ -16,13 +17,37 @@ from lowdp.noise import (
 )
 
 
+SAMPLERS = {
+    "laplace": lambda sigma, gen: sample_laplace(sigma, gen, size=3),
+    "integer-laplace": lambda sigma, gen: sample_integer_laplace(sigma, gen, size=3),
+    "symmetric-matrix": lambda sigma, gen: sample_symmetric_laplace_matrix(3, sigma, gen),
+}
+
+
 def test_noise_scale_rejects_nonpositive():
-    with pytest.raises(InvalidParameterError):
-        NoiseScale(0.0)
-    with pytest.raises(InvalidParameterError):
-        NoiseScale(-1.5)
-    with pytest.raises(InvalidParameterError):
-        sample_laplace(-2.0, SeededGenerator(0))
+    for sampler, sigma in itertools.product(SAMPLERS.values(), [0.0, -1.5, math.nan, math.inf, -math.inf]):
+        with pytest.raises(InvalidParameterError, match="noise scale must be positive"):
+            sampler(sigma, SeededGenerator(0))
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_noiseless_generator_draws_exact_zeros(sampler):
+    draws = SAMPLERS[sampler](2.5, NoiselessGenerator(3).split("zero"))
+    assert (draws == 0).all()
+    assert sample_laplace(2.5, NoiselessGenerator(3)) == 0.0
+    assert sample_integer_laplace(2.5, NoiselessGenerator(3)) == 0
+
+
+def test_noiseless_generator_keeps_the_seeded_streams():
+    # only open_uniform is replaced: a sampler that drew through any other
+    # stream would not be silenced by the fake
+    fake, real = NoiselessGenerator(11).split("a"), SeededGenerator(11).split("a")
+    assert isinstance(fake.split("b"), NoiselessGenerator)
+    assert (fake.split("b").random(8) == real.split("b").random(8)).all()
+    assert (fake.random((3, 4)) == real.random((3, 4))).all()
+    assert (fake.choice(50, 10) == real.choice(50, 10)).all()
+    assert (fake.standard_normal(6) == real.standard_normal(6)).all()
+    assert (fake.open_uniform(4) == 0.5).all()
 
 
 def test_inverse_cdf_median_is_zero():

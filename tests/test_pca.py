@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import NoiselessGenerator
 
 from lowdp.errors import (
     InsufficientDataError,
@@ -25,11 +26,7 @@ def _fake_cov(spectrum, eigenvectors=None):
     d = spectrum.size
     vecs = np.eye(d) if eigenvectors is None else eigenvectors
     matrix = vecs @ np.diag(spectrum) @ vecs.T
-    from lowdp.noise import NoiseScale
-
-    return PrivateCovariance(
-        matrix=matrix, noise_scale=NoiseScale(1.0), spectrum=spectrum, eigenvectors=vecs
-    )
+    return PrivateCovariance(matrix=matrix, noise_scale=1.0, spectrum=spectrum, eigenvectors=vecs)
 
 
 def test_dataset_validation():
@@ -84,16 +81,16 @@ def test_centered_covariance_requires_two_points():
 def test_private_covariance_noise_scale_formula():
     pts = np.random.default_rng(1).random((4, 1200))
     cov = private_covariance(pts, 1.0, SeededGenerator(0))
-    assert cov.noise_scale.sigma == pytest.approx(3 * 16 / 1200)
+    assert cov.noise_scale == pytest.approx(3 * 16 / 1200)
 
 
 def test_private_covariance_zero_noise_spectrum_matches_plain():
     pts = np.random.default_rng(2).random((5, 60))
-    cov = private_covariance(pts, 1.0, SeededGenerator(0), zero_noise=True)
+    cov = private_covariance(pts, 1.0, NoiselessGenerator(0))
     plain = centered_covariance(pts)
     expected = np.sort(np.linalg.eigvalsh(plain.matrix))[::-1]
     assert np.allclose(cov.spectrum, expected, atol=1e-12)
-    assert cov.non_private
+    assert (cov.matrix == plain.matrix).all()
 
 
 def test_private_covariance_rejects_bad_budget():
@@ -134,7 +131,7 @@ def test_top_eigenvectors_diagonal_case():
 
 def test_top_eigenvectors_degenerate_identity():
     pts = np.random.default_rng(8).random((3, 30))
-    cov = private_covariance(pts, 1.0, SeededGenerator(1), zero_noise=True)
+    cov = private_covariance(pts, 1.0, NoiselessGenerator(1))
     identity_cov = _fake_cov([1.0, 1.0, 1.0], cov.eigenvectors)
     basis = top_eigenvectors(identity_cov, 2)
     assert np.abs(basis.T @ basis - np.eye(2)).max() < 1e-10
@@ -192,8 +189,8 @@ def test_select_dimension_validates_tau():
 
 def test_noisy_projection_zero_noise_spanned_data_is_lossless():
     data, _ = planted_subspace_dataset(60, 5, 2, SeededGenerator(12))
-    cov = private_covariance(data.points, 1.0, SeededGenerator(0), zero_noise=True)
-    proj = noisy_projection(data.points, cov, 2, 1.0, SeededGenerator(0), zero_noise=True)
+    cov = private_covariance(data.points, 1.0, NoiselessGenerator(0))
+    proj = noisy_projection(data.points, cov, 2, 1.0, NoiselessGenerator(0))
     recon = proj.basis @ proj.coords + proj.private_mean[:, None]
     assert np.linalg.norm(data.points - recon) < 1e-10
 
@@ -204,6 +201,7 @@ def test_noisy_projection_radius_formula():
     cov = private_covariance(pts, 1.0, SeededGenerator(2))
     proj = noisy_projection(pts, cov, 2, 1.0, SeededGenerator(2))
     assert proj.radius == pytest.approx(3.0 + np.linalg.norm(proj.private_mean))
+    assert proj.noise_scale == 9 / 50  # d / (eps n)
 
 
 def test_noisy_projection_coords_within_radius():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import NoiselessGenerator
 
+import lowdp.pipeline
 from lowdp.errors import InvalidBudgetError, InvalidDimensionError, InvalidParameterError, InvalidRegimeError
 from lowdp.metrics import wasserstein1
 from lowdp.noise import SeededGenerator
@@ -32,7 +34,7 @@ def test_config_validation():
         PipelineConfig(epsilon=1.0, d_prime="auto", tau=2.0)
 
 
-@pytest.mark.parametrize("d_prime", [2.5, "abc", None, 0, float("nan")])
+@pytest.mark.parametrize("d_prime", [2.5, "abc", None, 0, float("nan"), True, False])
 def test_config_rejects_non_integral_d_prime(d_prime):
     with pytest.raises(InvalidDimensionError):
         PipelineConfig(epsilon=1.0, d_prime=d_prime)
@@ -107,17 +109,18 @@ def test_provenance_config_is_the_full_config():
         assert generate(data, cfg).provenance["config"] == asdict(cfg)
 
 
-def test_auto_dimension_and_subroutine_dispatch():
-    # zero-noise keeps the spectrum exact, so the planted d' = 2 is found
+def test_auto_dimension_and_subroutine_dispatch(monkeypatch):
+    # a noiseless run keeps the spectrum exact, so the planted d' = 2 is found
+    monkeypatch.setattr(lowdp.pipeline, "SeededGenerator", NoiselessGenerator)
     data, _ = planted_subspace_dataset(4000, 6, 2, SeededGenerator(5))
-    result = generate(data, PipelineConfig(epsilon=3.0, seed=2, tau=0.2, zero_noise=True))
+    result = generate(data, PipelineConfig(epsilon=3.0, seed=2, tau=0.2))
     assert result.provenance["d_prime_mode"] == "auto"
     assert result.provenance["d_prime"] == 2
     assert result.provenance["subroutine"] == "pmm"
     data3, _ = planted_subspace_dataset(500, 6, 3, SeededGenerator(6))
     result3 = generate(
         data3,
-        PipelineConfig(epsilon=3.0, seed=2, tau=0.2, zero_noise=True, delta_scale=3.0),
+        PipelineConfig(epsilon=3.0, seed=2, tau=0.2, delta_scale=3.0),
     )
     assert result3.provenance["d_prime"] == 3
     assert result3.provenance["subroutine"] == "psmm"
@@ -140,13 +143,10 @@ def test_d_prime_one_runs_through_pmm():
     assert result.size > 0
 
 
-def test_zero_noise_planted_data_w1_bounded_by_leaf_size():
+def test_zero_noise_planted_data_w1_bounded_by_leaf_size(monkeypatch):
+    monkeypatch.setattr(lowdp.pipeline, "SeededGenerator", NoiselessGenerator)
     data, _ = planted_subspace_dataset(128, 6, 2, SeededGenerator(8))
-    result = generate(
-        data,
-        PipelineConfig(epsilon=1.0, d_prime=2, subroutine="pmm", seed=5, zero_noise=True),
-    )
-    assert result.provenance["non_private"]
+    result = generate(data, PipelineConfig(epsilon=1.0, d_prime=2, subroutine="pmm", seed=5))
     assert result.size == 128
     w1 = wasserstein1(data.points, result.points, "linf")
     assert w1 <= result.provenance["subroutine_info"]["max_leaf_side"] + 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import box_by_recursion, classify_by_recursion, leaf_boxes_by_recursion
+from oracles import NoiselessGenerator, box_by_recursion, classify_by_recursion, leaf_boxes_by_recursion, leaf_centers
 
 from lowdp.errors import InvalidParameterError, InvalidRegimeError, OutOfDomainError
 from lowdp.metrics import wasserstein1
@@ -108,9 +108,8 @@ def test_counts_reject_nan_coordinates():
 
 
 def test_zero_noise_counts_pass_through():
-    gen = SeededGenerator(2)
-    coords = (gen.random((2, 40)) * 2.0 - 1.0)
-    tree = noisy_counts(build_partition(1.0, 2, 4), coords, 1.0, gen.split("z"), zero_noise=True)
+    coords = (SeededGenerator(2).random((2, 40)) * 2.0 - 1.0)
+    tree = noisy_counts(build_partition(1.0, 2, 4), coords, 1.0, NoiselessGenerator(2).split("z"))
     for level in range(tree.depth + 1):
         assert (tree.noisy[level] == tree.raw[level]).all()
     assert tree.noisy[0][0] == 40
@@ -179,24 +178,24 @@ def test_consistency_holds_at_every_node():
 
 
 def test_zero_noise_preserves_mass_and_w1_within_leaf_size():
-    gen = SeededGenerator(5)
-    coords = (gen.random((2, 64)) * 2.0 - 1.0)
-    out, info = run_pmm(coords, 1.0, 1.0, 64, gen.split("run"), zero_noise=True)
+    coords = (SeededGenerator(5).random((2, 64)) * 2.0 - 1.0)
+    out, info = run_pmm(coords, 1.0, 1.0, 64, NoiselessGenerator(5).split("run"))
     assert out.shape[1] == 64
     w1 = wasserstein1(coords, out, "linf")
     assert w1 <= info["max_leaf_side"] + 1e-12
 
 
 def test_zero_noise_leaf_center_within_leaf_radius():
-    gen = SeededGenerator(6)
-    coords = (gen.random((2, 64)) * 2.0 - 1.0)
-    out, info = run_pmm(coords, 1.0, 1.0, 64, gen.split("run"), zero_noise=True, mode="leaf-center")
+    coords = (SeededGenerator(6).random((2, 64)) * 2.0 - 1.0)
+    depth, _ = depth_and_scales(1.0, 64, 2)
+    tree = noisy_counts(build_partition(1.0, 2, depth), coords, 1.0, NoiselessGenerator(6))
+    out = leaf_centers(enforce_consistency(tree))
     w1 = wasserstein1(coords, out, "linf")
-    assert w1 <= info["max_leaf_side"] / 2.0 + 1e-12
+    assert w1 <= max_leaf_side(tree) / 2.0 + 1e-12
 
 
 def test_sampling_empty_tree_returns_empty_matrix():
-    tree = noisy_counts(build_partition(1.0, 2, 3), np.empty((2, 0)), 1.0, SeededGenerator(7), zero_noise=True)
+    tree = noisy_counts(build_partition(1.0, 2, 3), np.empty((2, 0)), 1.0, NoiselessGenerator(7))
     tree = enforce_consistency(tree)
     out = sample_synthetic(tree, SeededGenerator(8))
     assert out.shape == (2, 0)
@@ -205,7 +204,7 @@ def test_sampling_empty_tree_returns_empty_matrix():
 def test_sampling_single_leaf_membership():
     tree = build_partition(1.0, 2, 3)
     coords = np.tile(np.array([[-0.9], [-0.9]]), (1, 3))
-    tree = noisy_counts(tree, coords, 1.0, SeededGenerator(9), zero_noise=True)
+    tree = noisy_counts(tree, coords, 1.0, NoiselessGenerator(9))
     tree = enforce_consistency(tree)
     out = sample_synthetic(tree, SeededGenerator(10))
     assert out.shape == (2, 3)

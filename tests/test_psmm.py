@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
+from oracles import NoiselessGenerator
 
 from lowdp.errors import (
     InvalidParameterError,
@@ -87,7 +88,7 @@ def test_cell_counts_partition_of_ball():
 
 
 def test_signed_measure_formula():
-    nu = perturb_to_signed_measure(np.array([8, 2]), 1.0, 10, SeededGenerator(1), zero_noise=True)
+    nu = perturb_to_signed_measure(np.array([8, 2]), 1.0, 10, NoiselessGenerator(1))
     assert np.allclose(nu, [0.8, 0.2])
     assert nu.sum() == pytest.approx(1.0)
 
@@ -347,9 +348,8 @@ def test_measure_to_points_total_is_target():
 
 
 def test_run_psmm_end_to_end_zero_noise_mass():
-    gen = SeededGenerator(9)
-    coords = (gen.random((2, 50)) - 0.5) * 1.2
-    out, info = run_psmm(coords, 2.0, 1.0, 50, 6, gen.split("r"), zero_noise=True, delta_scale=2.0)
+    coords = (SeededGenerator(9).random((2, 50)) - 0.5) * 1.2
+    out, info = run_psmm(coords, 2.0, 1.0, 50, 6, NoiselessGenerator(9).split("r"), delta_scale=2.0)
     assert out.shape[1] == 50
     assert info["projection_objective"] == pytest.approx(0.0, abs=1e-9)
 
