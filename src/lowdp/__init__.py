@@ -37,7 +37,6 @@ from .noise import (
     sample_symmetric_laplace_matrix,
 )
 from .pca import (
-    CenteredCovariance,
     Dataset,
     PrivateCovariance,
     ProjectedDataset,
@@ -53,7 +52,6 @@ from .planted import planted_subspace_dataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenteredCovariance",
     "Dataset",
     "IngestError",
     "InsufficientDataError",

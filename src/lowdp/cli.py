@@ -25,8 +25,9 @@ from .errors import IngestError, LowdpError, SizeOverflowError, SolverError
 from .metrics import wasserstein1, wasserstein1_sampled, wasserstein2
 from .noise import SeededGenerator
 from .pca import Dataset
-from .pipeline import PipelineConfig, generate
+from .pipeline import BUDGET_SPLITS, SUBROUTINES, PipelineConfig, generate
 from .planted import planted_subspace_dataset
+from .psmm import DELTA_MODES
 
 __all__ = ["main", "ingest", "write_points_csv"]
 
@@ -245,11 +246,8 @@ def cmd_sweep(args) -> int:
         for n in args.n_grid
         for trial in range(args.trials)
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_trial, tasks))
-    else:
-        rows = [_sweep_trial(task) for task in tasks]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows = list(pool.map(_sweep_trial, tasks))
     rows.sort(key=lambda r: (r["d_prime"], r["epsilon"], r["n"], r["trial"]))
 
     out_dir = Path(args.out)
@@ -348,9 +346,9 @@ def _add_pipeline_options(parser):
     """Pipeline flags shared by generate and sweep; each declares its own budget flag."""
     parser.add_argument("--dprime", type=_dimension, default="auto", help="target dimension, or 'auto'")
     parser.add_argument("--tau", type=float, default=0.1, help="spectrum-ratio threshold for auto d'")
-    parser.add_argument("--subroutine", choices=("pmm", "psmm", "auto"), default="auto")
-    parser.add_argument("--budget-split", choices=("three", "four"), default="three", dest="budget_split")
-    parser.add_argument("--delta-mode", choices=("alg5", "proof"), default="alg5", dest="delta_mode")
+    parser.add_argument("--subroutine", choices=SUBROUTINES, default="auto")
+    parser.add_argument("--budget-split", choices=BUDGET_SPLITS, default="three", dest="budget_split")
+    parser.add_argument("--delta-mode", choices=DELTA_MODES, default="alg5", dest="delta_mode")
     parser.add_argument("--delta-scale", type=float, default=1.0, dest="delta_scale")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -368,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--epsilon", type=float, required=True, help="total privacy budget")
     _add_pipeline_options(p_gen)
     p_gen.add_argument("--rescale", action="store_true", help="min-max rescale columns into [0, 1]")
-    p_gen.add_argument("--m-target", type=_positive_int, default=None, dest="m_target")
+    p_gen.add_argument("--m-target", type=_positive_int, default=None, dest="m_target",
+                       help="psmm output size (default n); a pmm run refuses it")
     p_gen.add_argument("--evaluate", action="store_true", help="also compute W1 against the input")
     _add_eval_options(p_gen)
     p_gen.set_defaults(func=cmd_generate)

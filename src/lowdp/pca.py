@@ -1,13 +1,13 @@
 """Centered covariance, its privatized version, and the noisy projection.
 
 A ``Dataset`` computes its mean and its centered Gram matrix once, on first
-use, and every stage of a run reads them from there.  The covariance path
-privatizes the (1/(n-1))-normalized centered covariance by adding a
-symmetric Laplace matrix at per-entry scale 3 d^2 / (eps n); the
-projection path shifts the data by a privatized mean and projects onto the
-top eigenvectors of the noisy covariance.  Eigenvalues are ordered
-algebraically (the noise can make the matrix indefinite) and eigenvectors
-carry a deterministic sign convention so repeated runs are identical.
+use, and every stage of a run reads them from there.  ``centered_covariance``
+is the symmetric d x d matrix (1/(n-1)) Z Z^T; ``private_covariance`` adds a
+symmetric Laplace matrix at per-entry scale 3 d^2 / (eps n) and decomposes
+the result once, fixing each eigenvector's sign there.  ``top_eigenvectors``
+slices those vectors, and ``select_dimension(cov, tau)`` reads d' off the
+spectrum.  The projection path shifts the data by a privatized mean and
+projects onto the top eigenvectors.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .noise import SeededGenerator, sample_laplace, sample_symmetric_laplace_mat
 
 __all__ = [
     "Dataset",
-    "CenteredCovariance",
     "PrivateCovariance",
     "ProjectedDataset",
     "centered_covariance",
@@ -90,26 +89,13 @@ def _as_dataset(data) -> Dataset:
 
 
 @dataclass(frozen=True)
-class CenteredCovariance:
-    """Centered covariance M = (1/(n-1)) sum (X_i - mean)(X_i - mean)^T."""
-
-    matrix: np.ndarray
-    mean: np.ndarray
-
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues sorted non-increasing; rounding negatives above -1e-12
-        are clamped to zero in this report only (the matrix is untouched)."""
-        w = np.linalg.eigvalsh(self.matrix)[::-1]
-        w[(w < 0.0) & (w > -1e-12)] = 0.0
-        return w
-
-
-@dataclass(frozen=True)
 class PrivateCovariance:
     """Noisy covariance with its precomputed eigendecomposition.
 
     ``spectrum`` is sorted non-increasing (algebraic order; the matrix may be
-    indefinite) and ``eigenvectors[:, k]`` matches ``spectrum[k]``.
+    indefinite) and ``eigenvectors[:, k]`` matches ``spectrum[k]``.  The
+    first component of each eigenvector larger than 1e-12 in magnitude is
+    positive; eigenvalue ties keep the eigensolver's original order.
     ``noise_scale`` is the per-entry Laplace scale of the added matrix.
     """
 
@@ -135,75 +121,57 @@ class ProjectedDataset:
     noise_scale: float
 
 
-def centered_covariance(data) -> CenteredCovariance:
-    """The mean and the centered covariance matrix of the data."""
+def centered_covariance(data) -> np.ndarray:
+    """The symmetric centered covariance (1/(n-1)) sum (X_i - mean)(X_i - mean)^T."""
     dataset = _as_dataset(data)
     m = dataset.gram / (dataset.size - 1)
-    m = (m + m.T) / 2.0  # BLAS matmul is not exactly symmetric
-    return CenteredCovariance(matrix=m, mean=dataset.mean)
-
-
-def _eigh_descending(matrix: np.ndarray):
-    """Symmetric eigendecomposition, algebraically descending, stable ties."""
-    w, v = np.linalg.eigh(matrix)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    return (m + m.T) / 2.0  # BLAS matmul is not exactly symmetric
 
 
 def private_covariance(data, epsilon: float, gen: SeededGenerator) -> PrivateCovariance:
     """Add a symmetric Laplace matrix at scale 3 d^2 / (eps n) to the covariance.
 
-    The noise is always drawn; the eigendecomposition is of the noisy matrix.
+    The noise is always drawn; the eigendecomposition is of the noisy matrix,
+    and each eigenvector's sign is fixed here, once.
     """
     dataset = _as_dataset(data)
     d, n = dataset.points.shape
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
-    cov = centered_covariance(dataset)
     sigma = 3.0 * d * d / (epsilon * n)
-    noisy = cov.matrix + sample_symmetric_laplace_matrix(d, sigma, gen)
-    spectrum, vecs = _eigh_descending(noisy)
-    return PrivateCovariance(matrix=noisy, noise_scale=sigma, spectrum=spectrum, eigenvectors=vecs)
+    noisy = centered_covariance(dataset) + sample_symmetric_laplace_matrix(d, sigma, gen)
+    w, v = np.linalg.eigh(noisy)
+    order = np.argsort(-w, kind="stable")
+    vecs = v[:, order]
+    # the first entry above the tolerance in magnitude becomes positive; a column without one keeps its sign
+    first = np.argmax(np.abs(vecs) > _SIGN_TOL, axis=0)
+    vecs *= np.where(vecs[first, np.arange(d)] < -_SIGN_TOL, -1.0, 1.0)
+    return PrivateCovariance(matrix=noisy, noise_scale=sigma, spectrum=w[order], eigenvectors=vecs)
 
 
 def top_eigenvectors(cov: PrivateCovariance, d_prime: int) -> np.ndarray:
-    """Orthonormal eigenvectors of the d' algebraically largest eigenvalues.
-
-    Sign convention: the first component of each eigenvector larger than
-    1e-12 in magnitude is made positive.  Eigenvalue ties keep the
-    eigensolver's original order.
-    """
+    """Orthonormal, sign-fixed eigenvectors of the d' algebraically largest eigenvalues."""
     d = cov.matrix.shape[0]
     d_prime = int(d_prime)
     if not 1 <= d_prime <= d:
         raise InvalidDimensionError(f"d' must be in [1, {d}], got {d_prime}")
-    basis = cov.eigenvectors[:, :d_prime].copy()
-    for k in range(d_prime):
-        col = basis[:, k]
-        nonzero = np.nonzero(np.abs(col) > _SIGN_TOL)[0]
-        if nonzero.size and col[nonzero[0]] < 0.0:
-            basis[:, k] = -col
-    return basis
+    return cov.eigenvectors[:, :d_prime].copy()
 
 
-def select_dimension(cov: PrivateCovariance, tau: float, d_max: int) -> int:
-    """Smallest d' in [1, d_max - 1] whose spectrum drops by a factor tau.
+def select_dimension(cov: PrivateCovariance, tau: float) -> int:
+    """Smallest d' in [1, d - 1] whose spectrum drops by a factor tau.
 
     Returns the first d' with spectrum[d'] <= tau * max(spectrum[d'-1], 1e-12)
-    (0-based indexing), else d_max.  Pure post-processing of the private
+    (0-based indexing), else d.  Pure post-processing of the private
     spectrum, so it costs no extra budget.
     """
     if not 0.0 < tau < 1.0:
         raise InvalidParameterError(f"tau must be in (0, 1), got {tau}")
-    d = cov.spectrum.shape[0]
-    d_max = int(d_max)
-    if not 1 <= d_max <= d:
-        raise InvalidDimensionError(f"d_max must be in [1, {d}], got {d_max}")
     s = cov.spectrum
-    for dp in range(1, d_max):
+    for dp in range(1, s.size):
         if s[dp] <= tau * max(s[dp - 1], 1e-12):
             return dp
-    return d_max
+    return s.size
 
 
 def noisy_projection(

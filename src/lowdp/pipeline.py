@@ -11,6 +11,7 @@ noise.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -22,9 +23,11 @@ from .metrics import projection_diagnostics
 from .noise import SeededGenerator, sample_laplace
 from .pca import Dataset, noisy_projection, private_covariance, select_dimension
 from .pmm import run_pmm
-from .psmm import run_psmm
+from .psmm import DELTA_MODES, run_psmm
 
-__all__ = ["PipelineConfig", "SyntheticDataset", "clamp", "generate"]
+__all__ = ["BUDGET_SPLITS", "SUBROUTINES", "PipelineConfig", "SyntheticDataset", "clamp", "generate"]
+
+SUBROUTINES = ("pmm", "psmm", "auto")
 
 _SPLITS = {
     "three": {"covariance": Fraction(1, 3), "projection": Fraction(1, 3), "subroutine": Fraction(1, 3)},
@@ -35,6 +38,7 @@ _SPLITS = {
         "add_back": Fraction(1, 4),
     },
 }
+BUDGET_SPLITS = tuple(_SPLITS)
 
 
 @dataclass(frozen=True)
@@ -44,22 +48,22 @@ class PipelineConfig:
     epsilon: float
     d_prime: object = "auto"        # target dimension, or "auto" with tau
     tau: float = 0.1
-    subroutine: str = "auto"        # pmm | psmm | auto (pmm when d' <= 2)
+    subroutine: str = "auto"        # one of SUBROUTINES; auto is pmm when d' <= 2
     seed: int = 0
-    budget_split: str = "three"     # three | four
-    delta_mode: str = "alg5"        # psmm lattice spacing rule
+    budget_split: str = "three"     # one of BUDGET_SPLITS
+    delta_mode: str = "alg5"        # psmm lattice spacing rule, one of DELTA_MODES
     delta_scale: float = 1.0
-    m_target: int = None            # psmm output size; defaults to n
+    m_target: int = None            # psmm output size, defaults to n; pmm refuses it
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidBudgetError(f"epsilon must be positive, got {self.epsilon}")
-        if self.budget_split not in _SPLITS:
-            raise InvalidParameterError(f"budget_split must be 'three' or 'four', got {self.budget_split!r}")
-        if self.subroutine not in ("pmm", "psmm", "auto"):
-            raise InvalidParameterError(f"subroutine must be pmm|psmm|auto, got {self.subroutine!r}")
-        if self.delta_mode not in ("alg5", "proof"):
-            raise InvalidParameterError(f"delta_mode must be alg5|proof, got {self.delta_mode!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidBudgetError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.budget_split not in BUDGET_SPLITS:
+            raise InvalidParameterError(f"budget_split must be one of {BUDGET_SPLITS}, got {self.budget_split!r}")
+        if self.subroutine not in SUBROUTINES:
+            raise InvalidParameterError(f"subroutine must be one of {SUBROUTINES}, got {self.subroutine!r}")
+        if self.delta_mode not in DELTA_MODES:
+            raise InvalidParameterError(f"delta_mode must be one of {DELTA_MODES}, got {self.delta_mode!r}")
         if self.d_prime != "auto":
             whole = (
                 isinstance(self.d_prime, numbers.Real)
@@ -119,18 +123,15 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     root = SeededGenerator(config.seed)
 
     cov = private_covariance(dataset, eps["covariance"], root.split("covariance"))
-    if config.d_prime == "auto":
-        d_prime = select_dimension(cov, config.tau, d)
-    else:
-        if config.d_prime > d:
-            raise InvalidDimensionError(f"d_prime={config.d_prime} exceeds data dimension {d}")
-        d_prime = config.d_prime
+    d_prime = select_dimension(cov, config.tau) if config.d_prime == "auto" else config.d_prime
 
     projected = noisy_projection(dataset, cov, d_prime, eps["projection"], root.split("projection"))
 
     subroutine = config.subroutine
     if subroutine == "auto":
         subroutine = "pmm" if d_prime <= 2 else "psmm"
+    if subroutine == "pmm" and config.m_target is not None:
+        raise InvalidParameterError("m_target sets the psmm output size; a pmm run's size is its noisy root count")
     sub_gen = root.split("subroutine")
     if subroutine == "pmm":
         coords_out, sub_info = run_pmm(projected.coords, projected.radius, eps["subroutine"], n, sub_gen)

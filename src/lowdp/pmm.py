@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameterError,
     InvalidRegimeError,
     OutOfDomainError,
+    SizeOverflowError,
 )
 from .noise import SeededGenerator, sample_integer_laplace
 
@@ -38,6 +39,10 @@ __all__ = [
     "max_leaf_side",
     "run_pmm",
 ]
+
+# Largest tree depth: run_pmm at n = 1000, d' = 2 took 0.4 s and 215 MB at depth
+# 20 and 1.8 s and 575 MB at depth 22 (2-core VM); each further level doubles the tree.
+MAX_DEPTH = 22
 
 
 @dataclass(frozen=True)
@@ -131,12 +136,21 @@ def build_partition(radius: float, d_prime: int, depth: int) -> CountTree:
 
 
 def depth_and_scales(epsilon: float, n: int, d_prime: int) -> tuple[int, np.ndarray]:
-    """Depth r = ceil(log2(eps n)) and the per-level noise scales sigma_0..sigma_r."""
+    """Depth r = ceil(log2(eps n)) and the per-level noise scales sigma_0..sigma_r.
+
+    Refuses r > MAX_DEPTH with SizeOverflowError, before any tree is built.
+    """
     if not epsilon > 0:
         raise InvalidBudgetError(f"epsilon must be positive, got {epsilon}")
     en = epsilon * n
     if not en > 1.0:
         raise InvalidRegimeError(f"the mechanism requires eps * n > 1, got {en}")
+    if en > 2.0**MAX_DEPTH:
+        depth = math.ceil(math.log2(en)) if en < math.inf else math.inf
+        raise SizeOverflowError(
+            f"eps * n = {en:.4g} needs a PMM tree of depth {depth}, above the cap of depth {MAX_DEPTH} "
+            f"(2^{MAX_DEPTH} leaves); lower epsilon or use the psmm subroutine"
+        )
     r = int(math.ceil(math.log2(en)))
     return r, _level_scales(epsilon, r, int(d_prime))
 

@@ -39,6 +39,7 @@ from .errors import (
 from .noise import SeededGenerator, sample_integer_laplace
 
 __all__ = [
+    "DELTA_MODES",
     "Lattice",
     "lattice_delta",
     "build_lattice",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_ANCHOR_CAP = 5_000_000
+DELTA_MODES = ("alg5", "proof")
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def lattice_delta(d: int, d_prime: int, epsilon: float, n: int, *, mode: str = "
         if radius is None or not radius > 0:
             raise InvalidParameterError("'proof' delta mode needs the positive ball radius")
         return float(radius / np.sqrt(d_prime) * en ** (-1.0 / d_prime))
-    raise InvalidParameterError(f"unknown delta mode {mode!r} (use 'alg5' or 'proof')")
+    raise InvalidParameterError(f"unknown delta mode {mode!r}; choose from {DELTA_MODES}")
 
 
 def build_lattice(radius: float, delta: float, d_prime: int, *, cap: int = DEFAULT_ANCHOR_CAP) -> Lattice:

@@ -1,5 +1,6 @@
-"""Brute-force, dense-LP and recursive oracles the tests check the library
-against, and a noiseless generator for runs whose release equals its input."""
+"""Brute-force, dense-LP, recursive and per-column oracles the tests check the
+library against, and a noiseless generator for runs whose release equals its
+input."""
 
 import itertools
 import math
@@ -104,6 +105,16 @@ def classify_by_recursion(tree, coords):
         lo[:, axis] = np.where(upper, mid, lo[:, axis])
         hi[:, axis] = np.where(upper, hi[:, axis], mid)
     return idx
+
+
+def eigenvectors_sign_fixed_by_loop(vecs):
+    """One column at a time: the first entry above 1e-12 in magnitude is made positive."""
+    vecs = vecs.copy()
+    for k in range(vecs.shape[1]):
+        nonzero = np.nonzero(np.abs(vecs[:, k]) > 1e-12)[0]
+        if nonzero.size and vecs[nonzero[0], k] < 0.0:
+            vecs[:, k] = -vecs[:, k]
+    return vecs
 
 
 class NoiselessGenerator(SeededGenerator):

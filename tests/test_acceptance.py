@@ -151,7 +151,7 @@ def test_criterion_4_covariance_sensitivity():
             replacement = 1.0 - pts[:, 0]
         other = pts.copy()
         other[:, int(rng.integers(n))] = replacement
-        diff = np.abs(centered_covariance(pts).matrix - centered_covariance(other).matrix)
+        diff = np.abs(centered_covariance(pts) - centered_covariance(other))
         worst = max(worst, float(diff.max()) * n)
     assert _report(4, worst <= 6.0 + 1e-9, f"max n * |M - M'|_inf = {worst:.4f} (bound 6)")
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +227,22 @@ def test_count_flags_reject_nonpositive_values(tmp_path, capsys, command, flag, 
     assert main([*base, f"{flag}={value}"]) == 2
     assert not out.exists()
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "epsilon, extra, message",
+    [("1e308", (), "cap of depth"), ("inf", (), "finite"), ("2.0", ("--m-target", "3"), "m_target")],
+    ids=["over-deep-pmm-tree", "infinite-epsilon", "m-target-on-pmm"],
+)
+def test_refusals_exit_2_within_a_second(tmp_path, capsys, epsilon, extra, message):
+    inp = tmp_path / "four.csv"
+    _write_csv(inp, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
+    args = _generate_args(inp, tmp_path / "o", extra=extra)
+    args[args.index("--epsilon") + 1] = epsilon
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 def test_zero_noise_flag_is_gone(tmp_path):

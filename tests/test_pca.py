@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import NoiselessGenerator
+from oracles import NoiselessGenerator, eigenvectors_sign_fixed_by_loop
 
 from lowdp.errors import (
     InsufficientDataError,
@@ -39,14 +39,14 @@ def test_dataset_validation():
 def test_centered_covariance_equal_columns_is_zero():
     pts = np.tile(np.array([[0.3], [0.7], [0.1]]), (1, 5))
     cov = centered_covariance(pts)
-    assert np.abs(cov.matrix).max() == 0.0
+    assert np.abs(cov).max() == 0.0
 
 
 def test_centered_covariance_two_point_example():
     # X = [(0,0), (1,0)]: mean (1/2, 0), M = [[1/2, 0], [0, 0]]
     cov = centered_covariance(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(cov.matrix, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
-    assert np.allclose(cov.mean, [0.5, 0.0])
+    assert np.allclose(cov, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
+    assert np.allclose(Dataset(np.array([[0.0, 1.0], [0.0, 0.0]])).mean, [0.5, 0.0])
 
 
 def test_centered_covariance_collinear_rank_one():
@@ -54,7 +54,7 @@ def test_centered_covariance_collinear_rank_one():
     direction = np.array([0.5, 0.3, 0.8])
     pts = 0.05 + np.outer(direction, t)
     cov = centered_covariance(pts)
-    rank = np.linalg.matrix_rank(cov.matrix, tol=1e-10)
+    rank = np.linalg.matrix_rank(cov, tol=1e-10)
     assert rank == 1
     # independent check via SVD of the centered matrix
     centered = pts - pts.mean(axis=1, keepdims=True)
@@ -68,9 +68,9 @@ def test_centered_covariance_matches_definition():
     cov = centered_covariance(pts)
     mean = pts.mean(axis=1)
     manual = sum(np.outer(pts[:, i] - mean, pts[:, i] - mean) for i in range(9)) / 8
-    assert np.allclose(cov.matrix, manual, atol=1e-14)
-    assert (cov.matrix == cov.matrix.T).all()
-    assert cov.spectrum().min() >= 0.0
+    assert np.allclose(cov, manual, atol=1e-14)
+    assert (cov == cov.T).all()
+    assert np.linalg.eigvalsh(cov).min() >= -1e-12
 
 
 def test_centered_covariance_requires_two_points():
@@ -88,9 +88,9 @@ def test_private_covariance_zero_noise_spectrum_matches_plain():
     pts = np.random.default_rng(2).random((5, 60))
     cov = private_covariance(pts, 1.0, NoiselessGenerator(0))
     plain = centered_covariance(pts)
-    expected = np.sort(np.linalg.eigvalsh(plain.matrix))[::-1]
+    expected = np.sort(np.linalg.eigvalsh(plain))[::-1]
     assert np.allclose(cov.spectrum, expected, atol=1e-12)
-    assert (cov.matrix == plain.matrix).all()
+    assert (cov.matrix == plain).all()
 
 
 def test_private_covariance_rejects_bad_budget():
@@ -108,6 +108,20 @@ def test_private_covariance_sorted_spectrum_and_orthonormal_vectors():
     assert (cov.matrix == cov.matrix.T).all()
 
 
+@pytest.mark.parametrize("generator", [SeededGenerator, NoiselessGenerator])
+def test_private_covariance_eigenvectors_sign_fixed_at_release(generator):
+    # nearly constant leading coordinates give noiseless eigenvectors leading entries below the tolerance
+    rng = np.random.default_rng(16)
+    for seed in range(20):
+        pts = rng.random((6, 30))
+        pts[: seed % 3] = 0.5 + 1e-13 * rng.random((seed % 3, 30))
+        cov = private_covariance(pts, 1.0, generator(seed))
+        w, v = np.linalg.eigh(cov.matrix)
+        expected = eigenvectors_sign_fixed_by_loop(v[:, np.argsort(-w, kind="stable")])
+        assert (cov.eigenvectors == expected).all()
+        assert (top_eigenvectors(cov, 4) == expected[:, :4]).all()
+
+
 def test_covariance_entry_sensitivity_bound():
     # entrywise |M - M'| <= 6/n over random neighboring pairs
     rng = np.random.default_rng(7)
@@ -118,7 +132,7 @@ def test_covariance_entry_sensitivity_bound():
         pts = rng.random((d, n))
         other = pts.copy()
         other[:, rng.integers(n)] = rng.random(d)
-        delta = np.abs(centered_covariance(pts).matrix - centered_covariance(other).matrix)
+        delta = np.abs(centered_covariance(pts) - centered_covariance(other))
         worst = max(worst, delta.max() * n)
     assert worst <= 6.0 + 1e-9
 
@@ -171,20 +185,20 @@ def test_top_eigenvectors_dimension_validation():
 
 
 @pytest.mark.parametrize(
-    "spectrum, tau, d_max, expected",
+    "spectrum, tau, expected",
     [
-        ((5.0, 0.1, 0.05), 0.2, 3, 1),
-        ((1.0, 1.0, 1.0, 1.0), 0.2, 4, 4),
-        ((4.0, 3.0, 0.01, 0.01), 0.1, 4, 2),
+        ((5.0, 0.1, 0.05), 0.2, 1),
+        ((1.0, 1.0, 1.0, 1.0), 0.2, 4),
+        ((4.0, 3.0, 0.01, 0.01), 0.1, 2),
     ],
 )
-def test_select_dimension_examples(spectrum, tau, d_max, expected):
-    assert select_dimension(_fake_cov(spectrum), tau, d_max) == expected
+def test_select_dimension_examples(spectrum, tau, expected):
+    assert select_dimension(_fake_cov(spectrum), tau) == expected
 
 
 def test_select_dimension_validates_tau():
     with pytest.raises(InvalidParameterError):
-        select_dimension(_fake_cov([1.0, 0.5]), 1.5, 2)
+        select_dimension(_fake_cov([1.0, 0.5]), 1.5)
 
 
 def test_noisy_projection_zero_noise_spanned_data_is_lossless():

@@ -40,6 +40,12 @@ def test_config_rejects_non_integral_d_prime(d_prime):
         PipelineConfig(epsilon=1.0, d_prime=d_prime)
 
 
+@pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -float("inf")])
+def test_config_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(InvalidBudgetError, match="finite"):
+        PipelineConfig(epsilon=epsilon)
+
+
 def test_config_keeps_whole_number_d_prime():
     assert PipelineConfig(epsilon=1.0, d_prime=3.0).d_prime == 3
 
@@ -189,6 +195,14 @@ def test_dimension_validation_against_data():
     data, _ = planted_subspace_dataset(100, 4, 2, SeededGenerator(10))
     with pytest.raises(InvalidDimensionError):
         generate(data, PipelineConfig(epsilon=2.0, d_prime=9, seed=0))
+
+
+@pytest.mark.parametrize("subroutine", ["pmm", "auto"])
+def test_m_target_refused_on_pmm_runs(subroutine):
+    data, _ = planted_subspace_dataset(100, 4, 2, SeededGenerator(10))
+    config = PipelineConfig(epsilon=2.0, d_prime=2, subroutine=subroutine, m_target=3)
+    with pytest.raises(InvalidParameterError, match="m_target"):
+        generate(data, config)
 
 
 def test_provenance_records_streams_and_scales():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import NoiselessGenerator, box_by_recursion, classify_by_recursion, leaf_boxes_by_recursion, leaf_centers
 
-from lowdp.errors import InvalidParameterError, InvalidRegimeError, OutOfDomainError
+from lowdp.errors import InvalidParameterError, InvalidRegimeError, OutOfDomainError, SizeOverflowError
 from lowdp.metrics import wasserstein1
 from lowdp.noise import SeededGenerator
 from lowdp.pmm import (
+    MAX_DEPTH,
     _classify,
     build_partition,
     depth_and_scales,
@@ -42,6 +44,19 @@ def test_scale_schedule_flat_for_one_dimension():
 def test_regime_requires_eps_n_above_one():
     with pytest.raises(InvalidRegimeError):
         depth_and_scales(0.001, 100, 2)
+
+
+def test_depth_cap_admits_the_cap_itself():
+    r, scales = depth_and_scales(1.0, 2**MAX_DEPTH, 2)
+    assert r == MAX_DEPTH and scales.size == MAX_DEPTH + 1
+
+
+@pytest.mark.parametrize("epsilon, n", [(1.0, 2**MAX_DEPTH + 1), (1e308, 4), (1e308, 8)], ids=["cap+1", "1e308", "inf"])
+def test_over_deep_tree_refused_before_allocation(epsilon, n):
+    start = time.perf_counter()
+    with pytest.raises(SizeOverflowError, match=f"cap of depth {MAX_DEPTH}"):
+        run_pmm(np.zeros((1, 4)), 1.0, epsilon, n, SeededGenerator(0))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_partition_depth_zero_single_leaf():
