@@ -58,9 +58,9 @@ class Dataset:
             raise InvalidParameterError("dataset must have at least one coordinate")
         if n < 2:
             raise InsufficientDataError(f"dataset needs n >= 2 points, got {n}")
-        if not np.isfinite(pts).all():
-            raise InvalidParameterError("dataset contains non-finite entries")
-        if pts.min() < 0.0 or pts.max() > 1.0:
+        if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # false on NaN and +-inf too
+            if not np.isfinite(pts).all():
+                raise InvalidParameterError("dataset contains non-finite entries")
             raise InvalidParameterError("dataset entries must lie in [0, 1]")
         object.__setattr__(self, "points", pts)
 

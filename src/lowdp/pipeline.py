@@ -96,9 +96,23 @@ class SyntheticDataset:
         return self.points.shape[1]
 
 
+# Columns per block of the on-subspace check: its temporaries stay d x _CHECK_BLOCK.
+_CHECK_BLOCK = 4096
+
+
 def clamp(points: np.ndarray) -> np.ndarray:
     """Coordinatewise metric projection onto [0, 1]: the nearest cube point."""
     return np.clip(np.asarray(points, dtype=np.float64), 0.0, 1.0)
+
+
+def _on_subspace(points: np.ndarray, center: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether every column of points, less center, is within 1e-10 (l2) of span(basis)."""
+    for start in range(0, points.shape[1], _CHECK_BLOCK):
+        residual = points[:, start : start + _CHECK_BLOCK] - center[:, None]
+        residual -= basis @ (basis.T @ residual)
+        if not np.linalg.norm(residual, axis=0).max() <= 1e-10:
+            return False
+    return True
 
 
 def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) -> SyntheticDataset:
@@ -164,9 +178,6 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     synthetic = clamp(pre_clamp)
 
     m = synthetic.shape[1]
-    centered_out = pre_clamp - add_back_mean[:, None]
-    perp = centered_out - projected.basis @ (projected.basis.T @ centered_out)
-    on_subspace = bool(np.linalg.norm(perp, axis=0).max(initial=0.0) <= 1e-10)
     gram_gap = np.abs(projected.basis.T @ projected.basis - np.eye(d_prime)).max()
     coord_norms = np.linalg.norm(projected.coords, axis=0)
     checks = {
@@ -174,7 +185,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
         "eigenvalue_shift": bool(diag.weyl_ok),
         "basis_orthonormal": bool(gram_gap <= 1e-10),
         "coords_within_radius": bool(coord_norms.max(initial=0.0) <= projected.radius + 1e-9),
-        "pre_clamp_on_subspace": on_subspace,
+        "pre_clamp_on_subspace": _on_subspace(pre_clamp, add_back_mean, projected.basis),
     }
     provenance = {
         "config": asdict(config),

@@ -9,7 +9,10 @@ nonnegative integer tree whose leaves define the output measure.
 
 All cell geometry (node and leaf boxes, point classification, the largest
 leaf side) is read from one set of per-axis edges: the 1-D (lo + hi)/2
-bisection of [-R, R], once per split on that axis.
+bisection of [-R, R], once per split on that axis.  A point's cell on an
+axis is guessed arithmetically from its coordinate, then corrected by one
+comparison each way against those edges; its leaf index is the OR of one
+lookup per axis in a table from cell to leaf-index bits.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 # Largest tree depth: run_pmm at n = 1000, d' = 2 took 0.4 s and 215 MB at depth
-# 20 and 1.8 s and 575 MB at depth 22 (2-core VM); each further level doubles the tree.
+# 20 and 2.1-2.4 s and 575 MB at depth 22 (2-core VM); each further level doubles the tree.
 MAX_DEPTH = 22
 
 
@@ -162,19 +165,35 @@ def _level_scales(epsilon: float, depth: int, d_prime: int) -> np.ndarray:
 
 
 def _classify(tree: CountTree, coords: np.ndarray) -> np.ndarray:
-    """Leaf index of each coordinate column.
+    """Leaf index of each coordinate column (points inside [-R, R]^d').
 
     Per axis, the cell is the number of interior edges <= x: x below a
     midpoint goes to child 0, x at or above it to child 1 (which closes the
-    global upper face).  The leaf index interleaves the per-axis cell bits
-    level by level.
+    global upper face).  With K = 2^(splits on the axis), the cell is first
+    guessed as floor((x + R) K / 2R), capped at K - 1 (x >= -R keeps it
+    nonnegative), then moved by one comparison each way against
+    ``cell_edges()``.  One step suffices: every bisection edge differs from
+    -R + k 2R/K by a few ulps of R at most (one rounding per split), and a
+    cell of a tree at most MAX_DEPTH deep is at least 2R / 2^MAX_DEPTH
+    wide, about 2^30 times wider, so the guess is off by at most one cell.
+
+    The leaf index interleaves the per-axis cell bits level by level.  Each
+    axis's bits land on fixed leaf-index positions, so a per-axis table of
+    2^(splits) entries maps a cell to its share of the index, and the leaf
+    index is the OR of one table lookup per axis.
     """
-    cells = [np.searchsorted(edge[1:-1], x, side="right") for edge, x in zip(tree.cell_edges(), coords)]
     idx = np.zeros(coords.shape[1], dtype=np.int64)
-    for level in reversed(range(tree.depth)):  # the deepest split on an axis holds its cell's last bit
-        axis = level % tree.d_prime
-        idx |= (cells[axis] & 1) << (tree.depth - 1 - level)
-        cells[axis] >>= 1
+    for axis, (edge, x) in enumerate(zip(tree.cell_edges(), coords)):
+        cells = edge.size - 1
+        cell = ((x + tree.radius) * (cells / (2.0 * tree.radius))).astype(np.int64)
+        np.minimum(cell, cells - 1, out=cell)
+        edge[0], edge[-1] = -np.inf, np.inf  # the outer cells take everything beyond their inner edge
+        cell -= x < edge[:-1][cell]
+        cell += x >= edge[1:][cell]
+        table = np.zeros(1, dtype=np.int64)
+        for level in reversed(range(axis, tree.depth, tree.d_prime)):  # the deepest split holds the cell's last bit
+            table = np.concatenate([table, table | (1 << (tree.depth - 1 - level))])
+        idx |= table[cell]
     return idx
 
 

@@ -109,7 +109,7 @@ def build_lattice(radius: float, delta: float, d_prime: int, *, cap: int = DEFAU
     side = 2 * k_max + 1
     if side ** d_prime > 8 * cap:
         raise LatticeTooLargeError(
-            f"lattice grid would enumerate {side ** d_prime} candidate anchors "
+            f"lattice grid would enumerate about 10^{d_prime * math.log10(side):.1f} candidate anchors "
             f"(cap {cap}); raise delta_scale (--delta-scale) for a coarser lattice"
         )
     axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * d_prime
@@ -320,7 +320,13 @@ def run_psmm(
         raise InvalidParameterError(f"delta_scale must be positive, got {delta_scale}")
     delta = lattice_delta(d_ambient, d_prime, epsilon, n, mode=delta_mode, radius=radius) * delta_scale
     delta = min(delta, 2.0 * radius)
-    lattice = build_lattice(radius, delta, d_prime)
+    try:
+        lattice = build_lattice(radius, delta, d_prime)
+    except LatticeTooLargeError as exc:
+        raise LatticeTooLargeError(
+            f"eps * n = {epsilon * n:.4g} and d' = {d_prime} set delta = {delta:.3g}, so the {exc}, "
+            "or lower epsilon or d'"
+        ) from exc
     counts = cell_counts(coords, lattice)
     nu = perturb_to_signed_measure(counts, epsilon, n, gen)
     mu, objective = project_to_probability(nu, lattice)

@@ -231,8 +231,13 @@ def test_count_flags_reject_nonpositive_values(tmp_path, capsys, command, flag, 
 
 @pytest.mark.parametrize(
     "epsilon, extra, message",
-    [("1e308", (), "cap of depth"), ("inf", (), "finite"), ("2.0", ("--m-target", "3"), "m_target")],
-    ids=["over-deep-pmm-tree", "infinite-epsilon", "m-target-on-pmm"],
+    [
+        ("1e308", (), "cap of depth"),
+        ("inf", (), "finite"),
+        ("2.0", ("--m-target", "3"), "m_target"),
+        ("1e308", ("--subroutine", "psmm"), "eps * n = 1.333e+308 and d' = 2 set delta"),
+    ],
+    ids=["over-deep-pmm-tree", "infinite-epsilon", "m-target-on-pmm", "psmm-lattice-at-huge-budget"],
 )
 def test_refusals_exit_2_within_a_second(tmp_path, capsys, epsilon, extra, message):
     inp = tmp_path / "four.csv"
@@ -242,7 +247,8 @@ def test_refusals_exit_2_within_a_second(tmp_path, capsys, epsilon, extra, messa
     start = time.perf_counter()
     assert main(args) == 2
     assert time.perf_counter() - start < 1.0
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and len(err) < 300
 
 
 def test_zero_noise_flag_is_gone(tmp_path):

@@ -30,8 +30,11 @@ def _fake_cov(spectrum, eigenvectors=None):
 
 
 def test_dataset_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\]"):
         Dataset(np.array([[0.2, 1.4], [0.1, 0.3]]))  # out of range
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            Dataset(np.array([[0.2, bad], [0.1, 0.3]]))
     with pytest.raises(InsufficientDataError):
         Dataset(np.array([[0.5], [0.5]]))  # n = 1
 

@@ -97,6 +97,29 @@ def test_pre_clamp_output_lies_on_private_affine_subspace():
     assert np.linalg.norm(residual, axis=0).max() < 1e-10
 
 
+def test_on_subspace_check_reaches_the_last_partial_block():
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.normal(size=(6, 2)))
+    center = rng.uniform(size=6)
+    points = basis @ rng.normal(size=(2, 2 * lowdp.pipeline._CHECK_BLOCK + 5)) + center[:, None]
+    assert lowdp.pipeline._on_subspace(points, center, basis)
+    off = rng.normal(size=6)
+    off -= basis @ (basis.T @ off)
+    points[:, -1] += 1e-9 * off / np.linalg.norm(off)
+    assert not lowdp.pipeline._on_subspace(points, center, basis)
+
+
+def test_on_subspace_check_holds_on_empty_and_block_straddling_runs():
+    empty = generate(
+        np.array([[0.2, 0.8], [0.4, 0.6]]), PipelineConfig(epsilon=3.0, d_prime=1, subroutine="pmm", seed=2)
+    )
+    assert empty.size == 0 and empty.provenance["checks"]["pre_clamp_on_subspace"] is True
+    data, _ = planted_subspace_dataset(6000, 4, 2, SeededGenerator(6))
+    result = generate(data, PipelineConfig(epsilon=1.0, d_prime=2, subroutine="pmm", seed=1))
+    assert result.size > lowdp.pipeline._CHECK_BLOCK and result.size % lowdp.pipeline._CHECK_BLOCK != 0
+    assert result.provenance["checks"]["pre_clamp_on_subspace"] is True
+
+
 def test_determinism_bitwise():
     data, _ = planted_subspace_dataset(256, 5, 2, SeededGenerator(4))
     cfg = PipelineConfig(epsilon=1.5, d_prime=2, subroutine="pmm", seed=123)

@@ -258,17 +258,24 @@ def _random_trees(count, seed):
         yield build_partition(float(rng.uniform(0.5, 20.0)), int(rng.integers(1, 4)), int(rng.integers(0, 15))), rng
 
 
-def _edge_and_face_points(tree, lo, hi, rng):
-    """Random points, points on every cell edge of each axis, and the corners of [-R, R]^d'."""
+def _on_and_beside_edges(tree, edges_per_axis, rng, count):
+    """count random points, then points on each given edge of each axis and one ulp either side of it."""
     r, dp = tree.radius, tree.d_prime
-    blocks = [rng.uniform(-r, r, (dp, 500))]
-    for axis in range(dp):
-        edges = np.unique(np.concatenate([lo[:, axis], hi[:, axis]]))
-        block = rng.uniform(-r, r, (dp, edges.size))
-        block[axis] = edges
-        blocks.append(block)
-    blocks.append(np.array(list(itertools.product((-r, r), repeat=dp))).T)
+    blocks = [rng.uniform(-r, r, (dp, count))]
+    for axis, edges in enumerate(edges_per_axis):
+        for x in (edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)):
+            block = rng.uniform(-r, r, (dp, edges.size))
+            block[axis] = np.clip(x, -r, r)
+            blocks.append(block)
     return np.concatenate(blocks, axis=1)
+
+
+def _edge_and_face_points(tree, lo, hi, rng):
+    """Random points, points on and one ulp beside every cell edge of each axis, and the corners of [-R, R]^d'."""
+    r, dp = tree.radius, tree.d_prime
+    edges = [np.unique(np.concatenate([lo[:, axis], hi[:, axis]])) for axis in range(dp)]
+    corners = np.array(list(itertools.product((-r, r), repeat=dp))).T
+    return np.concatenate([_on_and_beside_edges(tree, edges, rng, 500), corners], axis=1)
 
 
 def test_cell_geometry_matches_midpoint_recursion_bitwise():
@@ -284,3 +291,13 @@ def test_cell_geometry_matches_midpoint_recursion_bitwise():
             want_lo, want_hi = box_by_recursion(tree, theta)
             got_lo, got_hi = tree.box(theta)
             assert got_lo.tobytes() == want_lo.tobytes() and got_hi.tobytes() == want_hi.tobytes()
+    # classification alone at the deepest allowed tree, on sampled edges: R = 4.7
+    # makes the bisection edges round away from -R + k 2R/K
+    rng = np.random.default_rng(41)
+    for dp in (1, 2, 3):
+        tree = build_partition(4.7, dp, MAX_DEPTH)
+        edges = tree.cell_edges()
+        k = np.arange(edges[0].size)
+        assert (edges[0] != -tree.radius + k * (2.0 * tree.radius / (k.size - 1))).any()
+        coords = _on_and_beside_edges(tree, [rng.choice(edge, 300) for edge in edges], rng, 1000)
+        assert np.array_equal(_classify(tree, coords), classify_by_recursion(tree, coords))
