@@ -16,14 +16,15 @@ explicitly approximate subsample estimator.  It draws k atoms from each
 point set and solves each pair of draws exactly, on one of two paths.  When
 the draw with fewer distinct atoms has K of them and 4 K <= k, as for PSMM
 outputs on lattice anchors, that draw is collapsed to K atoms with integer
-multiplicities and the k x K transport is solved by successive shortest
-paths over the K atoms; its potentials are checked against the value on
-every call.  Otherwise the k x k costs, with a 1e-11 tie-breaking jitter,
-go to the assignment solver.  The calling thread draws and prepares the
-repeats in order; only their assignment solves run in a thread pool, at
-most min(repeats, usable cores) at once, and each repeat's value is stored
-by index and averaged in repeat order, so the estimate does not depend on
-the core count.
+multiplicities and the k x K transport is solved over the K atoms: a
+vectorised price phase lowers the potentials of over-demanded atoms and
+places most draws at once, then successive shortest paths insert the rest.
+Its potentials are checked against the value on every call.  Otherwise the
+k x k costs, with a 1e-11 tie-breaking jitter, go to the assignment solver.
+The calling thread draws and prepares the repeats in order; only their
+assignment solves run in a thread pool, at most min(repeats, usable cores)
+at once, and each repeat's value is stored by index and averaged in repeat
+order, so the estimate does not depend on the core count.
 
 Ground distances are one scipy ``cdist`` call (``chebyshev`` for ``linf``,
 ``euclidean`` for ``l2``), which rejects non-finite coordinates first.
@@ -59,9 +60,12 @@ __all__ = [
 
 DEFAULT_MAX_CELLS = 4_000_000
 # the sampled estimator collapses a draw of k atoms with K distinct ones when
-# K * _COLLAPSE_RATIO <= k.  Measured crossovers (d = 8, sup metric, 2 cores):
-# the collapsed path is faster up to k/K ~ 3 at k = 1024 and ~ 2.7 at
-# k = 2048; at k = 128 the assignment is faster, by a few milliseconds
+# K * _COLLAPSE_RATIO <= k.  Measured crossovers of the price-initialised
+# solver (d = 8, sup metric, 2 cores; draws near a 3-D subspace against K
+# lifted 3-D grid atoms; medians of 9 instances, 5 at k = 2048): at k = 1024
+# the collapsed path is faster from k/K ~ 5 (at k/K = 4, 224 against 205 ms),
+# at k = 2048 from k/K ~ 3 (at 4, 1.46 against 1.94 s); at k = 128 the
+# assignment is faster at every k/K up to 12, by 1.3-5 ms
 _COLLAPSE_RATIO = 4
 _CDIST_METRICS = {"linf": "chebyshev", "l2": "euclidean"}
 
@@ -288,10 +292,17 @@ def _transport_to_atoms(costs: np.ndarray, counts: np.ndarray):
 
     Successive shortest paths with atom potentials v (Jonker-Volgenant
     updates).  Every placed draw i sits at an atom minimising c_ij - v_j, so
-    u_i = min_j (c_ij - v_j) is dual-feasible and complementary.  Atoms with
-    spare multiplicity keep v_j = 0, so the first spare atom Dijkstra settles
-    ends a shortest path.  Draws whose nearest atom has room are placed in
-    one pass; the rest are inserted one at a time, and one whose cheapest
+    u_i = min_j (c_ij - v_j) is dual-feasible and complementary.  The counts
+    sum to k, so the problem is square once each atom is repeated by its
+    count: any v is a valid start, every atom is full at the end, and a
+    shortest path to the first atom with room that Dijkstra settles keeps
+    the invariant.  A price phase sets v first, as auction prices for
+    objects with multiplicities: each round, every atom j preferred by more
+    than counts_j draws lowers v_j by the (counts_j + 1)-th largest regret
+    (runner-up minus best reduced cost) among those draws, and the rounds
+    stop at the first that does not lower the total over-demand.  Each draw
+    whose reduced-cost argmin still has room then takes it, highest regret
+    first; the rest are inserted one at a time, and one whose cheapest
     reduced-cost atom has room takes it at once.  The arc j -> j' (move one
     draw from j to j') costs min over draws at j of c_ij' - c_ij; that K x K
     table and its minimising draws are kept, and only the rows of atoms an
@@ -317,14 +328,36 @@ def _transport_to_atoms(costs: np.ndarray, counts: np.ndarray):
         arc[j, better] = moves[better]
         arc_draw[j, better] = row
 
-    # while v = 0, every draw whose nearest atom has room takes it: in draw
-    # order, the first counts[j] draws nearest to j
-    nearest = costs.argmin(axis=1)
-    order = np.argsort(nearest, kind="stable")
+    def preferences(v):
+        """Each draw's reduced-cost argmin and regret, the draws grouped by
+        that atom in falling regret, each group's start, and the over-demand."""
+        reduced = costs - v
+        best = reduced.argmin(axis=1)
+        regret = np.zeros(k)
+        if n_atoms > 1:
+            first, second = np.partition(reduced, 1, axis=1)[:, :2].T
+            regret = second - first
+        order = np.lexsort((-regret, best))
+        demand = np.bincount(best, minlength=n_atoms)
+        return best, regret, order, np.cumsum(demand) - demand, np.maximum(demand - spare, 0)
+
+    # price phase: lowering v_j by that regret ties atom j's (counts_j + 1)-th
+    # most regretful draw with its runner-up
+    best, regret, order, start, excess = preferences(v)
+    while excess.any():
+        crowded = np.flatnonzero(excess)
+        lowered = v.copy()
+        lowered[crowded] -= regret[order[start[crowded] + spare[crowded]]]
+        trial = preferences(lowered)
+        if trial[-1].sum() >= excess.sum():
+            break
+        v = lowered
+        best, regret, order, start, excess = trial
+    # each draw whose reduced-cost argmin has room takes it, highest regret first
     rank = np.empty(k, dtype=np.int64)
-    rank[order] = np.arange(k) - np.searchsorted(nearest[order], nearest[order])
-    taken = rank < spare[nearest]
-    atom[taken] = nearest[taken]
+    rank[order] = np.arange(k) - start[best[order]]
+    taken = rank < spare[best]
+    atom[taken] = best[taken]
     spare -= np.bincount(atom[taken], minlength=n_atoms)
     for j in np.flatnonzero(counts > spare):
         rebuild(j)

@@ -286,9 +286,11 @@ def sample_synthetic(tree: CountTree, gen: SeededGenerator) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty((tree.d_prime, 0))
-    lo, hi = tree.leaf_boxes()
-    lo_rep = np.repeat(lo, counts, axis=0)
-    hi_rep = np.repeat(hi, counts, axis=0)
+    # bounds of the nonempty leaves only: at depth ~log2(eps n) most are empty
+    leaves = np.flatnonzero(counts)
+    lo, hi = tree._leaf_bounds(leaves)
+    lo_rep = np.repeat(lo, counts[leaves], axis=0)
+    hi_rep = np.repeat(hi, counts[leaves], axis=0)
     u = gen.split("sample").random((total, tree.d_prime))
     return (lo_rep + u * (hi_rep - lo_rep)).T
 

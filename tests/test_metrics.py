@@ -358,6 +358,42 @@ def test_atom_transport_matches_expanded_assignment():
     assert any(n_atoms == 1 < k for k, n_atoms in sizes) and any(n_atoms == k > 1 for k, n_atoms in sizes)
 
 
+def _psmm_sized_instances(k, metric):
+    """Seeded (units, atoms, counts): k draws against a few dozen grid atoms, as
+    PSMM releases give, plus one atom, k atoms and draws that all prefer one atom."""
+    rng = np.random.default_rng(k)
+    units = np.round(rng.random((3, k)) * 8) / 8
+    for n_atoms in (20, 40, 64):
+        atoms = np.unique(np.round(rng.random((3, n_atoms)) * 4) / 4, axis=1)
+        counts = np.bincount(np.concatenate([np.arange(atoms.shape[1]), rng.integers(0, atoms.shape[1], k - atoms.shape[1])]))
+        yield units, atoms, counts
+    if k > 256:
+        return
+    yield units, units[:, :1], np.array([k])
+    yield units, units, np.ones(k, dtype=np.int64)
+    # every draw is nearest to the atom at the origin, which holds one of them
+    atoms = np.unique(np.round(rng.random((3, 40)) * 4) / 4 + 0.25, axis=1)
+    atoms = np.concatenate([np.zeros((3, 1)), atoms[:, atoms.min(axis=0) > 0]], axis=1)
+    near = np.round(rng.random((3, k)) * 0.1, 2)
+    counts = np.bincount(np.concatenate([np.arange(atoms.shape[1]), rng.integers(1, atoms.shape[1], k - atoms.shape[1])]))
+    assert (ground_distances(near, atoms, metric).argmin(axis=1) == 0).all() and counts[0] == 1
+    yield near, atoms, counts
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+@pytest.mark.parametrize("k", [256, 1024])
+def test_atom_transport_matches_expanded_assignment_at_psmm_size(k, metric):
+    for units, atoms, counts in _psmm_sized_instances(k, metric):
+        costs = ground_distances(units, atoms, metric)
+        atom, v = lowdp.metrics._transport_to_atoms(costs, counts)
+        assert (np.bincount(atom, minlength=counts.size) == counts).all()
+        primal = costs[np.arange(k), atom].mean()
+        assert abs(primal - _expanded_assignment(units, atoms, counts, metric)) <= 1e-12
+        u = (costs - v).min(axis=1)
+        assert (u[:, None] <= costs - v).all()
+        assert abs(primal - (u.mean() + counts @ v / k)) <= 1e-12
+
+
 def test_atom_transport_matches_permutation_oracle():
     rng = np.random.default_rng(19)
     for trial in range(60):

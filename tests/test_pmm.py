@@ -227,6 +227,20 @@ def test_sampling_single_leaf_membership():
     assert (out.T >= lo[0]).all() and (out.T <= hi[0]).all()
 
 
+def test_sampling_matches_all_leaf_boxes_on_a_sparse_tree():
+    # 300 points in a 2^12-leaf tree: at most 300 leaves are nonempty
+    coords = SeededGenerator(13).random((2, 300)) * 0.5 - 0.25
+    tree = enforce_consistency(noisy_counts(build_partition(1.0, 2, 12), coords, 1.0, NoiselessGenerator(14)))
+    counts = tree.consistent[tree.depth]
+    assert np.count_nonzero(counts) <= 300 < counts.size // 10
+    lo, hi = tree.leaf_boxes()
+    lo_rep, hi_rep = np.repeat(lo, counts, axis=0), np.repeat(hi, counts, axis=0)
+    u = SeededGenerator(15).split("sample").random((int(counts.sum()), 2))
+    expected = (lo_rep + u * (hi_rep - lo_rep)).T
+    out = sample_synthetic(tree, SeededGenerator(15))
+    assert out.shape == expected.shape and (out == expected).all()
+
+
 def test_sampling_reproducible():
     gen_input = SeededGenerator(11)
     coords = (gen_input.random((2, 50)) * 2.0 - 1.0)
