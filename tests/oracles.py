@@ -1,14 +1,17 @@
-"""Brute-force, dense-LP, recursive and per-column oracles the tests check the
-library against, and a noiseless generator for runs whose release equals its
-input."""
+"""Brute-force, dense-LP, HiGHS grid-LP, recursive and per-column oracles
+the tests check the library against, and a noiseless generator for runs
+whose release equals its input."""
 
 import itertools
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from lowdp.metrics import ground_distances
 from lowdp.noise import SeededGenerator
+from lowdp.psmm import _grid_graph
 from simplex import solve_dense_lp
 
 
@@ -55,6 +58,39 @@ def bl_projection_lp_dense(nu: np.ndarray, rho: np.ndarray):
     b_eq = np.concatenate([nu, [1.0]])
     x, objective = solve_dense_lp(cost, a_eq, b_eq)
     return x[:m], objective
+
+
+def bl_projection_grid_lp(noisy_counts, n, lattice):
+    """The projection LP as one min-cost flow on the lattice grid graph, by HiGHS.
+
+    Columns: unit steps both ways along every grid edge at cost delta;
+    destroy and create slacks at cost 1 and a keep variable at every
+    anchor; one extra-mass variable at cost 1.  Rows: flow balance at every
+    node (nu = noisy_counts / n at anchors, 0 at transit nodes) and the mass
+    row sum(keep) + extra = 1.  HiGHS returns some optimal vertex; the extra
+    mass is spread over the kept mass.  Returns (mu, objective).
+    """
+    nu = np.asarray(noisy_counts, dtype=np.float64) / n
+    m = nu.size
+    n_nodes, anchor_node, tails, heads = _grid_graph(lattice)
+    n_arcs = 2 * tails.size
+    n_vars = n_arcs + 3 * m + 1  # [arcs, destroy, create, keep, extra]
+    cost = np.concatenate([np.full(n_arcs, lattice.delta), np.ones(2 * m), np.zeros(m), [1.0]])
+    arcs = np.arange(n_arcs)
+    slacks = n_arcs + np.arange(3 * m)
+    rows = np.concatenate([tails, heads, heads, tails, np.tile(anchor_node, 3), np.full(m + 1, n_nodes)])
+    cols = np.concatenate([arcs, arcs, slacks, slacks[2 * m :], [n_vars - 1]])
+    vals = np.concatenate([np.ones(n_arcs), -np.ones(n_arcs), np.ones(m), -np.ones(m), np.ones(2 * m + 1)])
+    a_eq = sparse.csc_matrix((vals, (rows, cols)), shape=(n_nodes + 1, n_vars))
+    b_eq = np.zeros(n_nodes + 1)
+    b_eq[anchor_node] = nu
+    b_eq[n_nodes] = 1.0
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    keep = res.x[n_arcs + 2 * m : -1]
+    total = keep.sum()
+    mu = keep * (1.0 + res.x[-1] / total) if total > 0 else np.ones(m)
+    return mu / mu.sum(), float(res.fun)
 
 
 def box_by_recursion(tree, theta):

@@ -218,7 +218,7 @@ def test_criterion_6_lp_projection_optimality():
         ints = grid[rng.choice(grid.shape[0], m, replace=False)]
         lattice = Lattice(delta=0.7, radius=2.2, d_prime=d_prime, int_coords=ints)
         nu = np.round(rng.normal(0.3, 0.6, m), 3)
-        mu, objective = project_to_probability(nu, lattice)
+        mu, objective = project_to_probability(np.rint(nu * 1000).astype(np.int64), 1000, lattice)
         oracle = _bfs_enumeration_objective(nu, anchor_distances(lattice))
         worst_gap = max(worst_gap, abs(objective - oracle))
         all_ok &= (mu >= -1e-9).all()

@@ -11,6 +11,7 @@ from lowdp.errors import (
     InvalidParameterError,
     InvalidRegimeError,
     LatticeTooLargeError,
+    SolverError,
 )
 from lowdp.noise import SeededGenerator
 from lowdp.psmm import (
@@ -19,12 +20,15 @@ from lowdp.psmm import (
     cell_counts,
     lattice_delta,
     measure_to_points,
-    perturb_to_signed_measure,
+    noisy_cell_counts,
     project_to_probability,
     run_psmm,
+    _certified_objective,
+    _excess_projection,
     _grid_graph,
+    _saving_steps,
 )
-from oracles import anchor_distances, bl_projection_lp_dense
+from oracles import anchor_distances, bl_projection_grid_lp, bl_projection_lp_dense
 
 
 def test_delta_formula_values():
@@ -64,6 +68,18 @@ def test_lattice_cap_enforced():
         build_lattice(1.0, 1e-4, 3, cap=1000)
 
 
+@pytest.mark.parametrize("d_prime, delta", [(1, 0.05), (2, 0.3), (3, 0.25)])
+def test_lattice_cap_refuses_before_enumerating(monkeypatch, d_prime, delta):
+    lat = build_lattice(1.0, delta, d_prime)
+
+    def enumerate_grid(*args, **kwargs):
+        raise AssertionError("the anchors were enumerated")
+
+    monkeypatch.setattr(np, "meshgrid", enumerate_grid)
+    with pytest.raises(LatticeTooLargeError, match=f"about {lat.size} anchors"):
+        build_lattice(1.0, delta, d_prime, cap=lat.size - 1)
+
+
 def test_cell_counts_origin_and_boundaries():
     lat = build_lattice(2.0, 0.5, 2)
     pts = np.zeros((2, 4))
@@ -88,9 +104,10 @@ def test_cell_counts_partition_of_ball():
 
 
 def test_signed_measure_formula():
-    nu = perturb_to_signed_measure(np.array([8, 2]), 1.0, 10, NoiselessGenerator(1))
-    assert np.allclose(nu, [0.8, 0.2])
-    assert nu.sum() == pytest.approx(1.0)
+    noisy = noisy_cell_counts(np.array([8, 2]), 1.0, NoiselessGenerator(1))
+    assert noisy.dtype == np.int64
+    assert np.allclose(noisy / 10, [0.8, 0.2])
+    assert noisy.sum() / 10 == pytest.approx(1.0)
 
 
 def test_signed_measure_mass_is_centered():
@@ -98,9 +115,13 @@ def test_signed_measure_mass_is_centered():
     totals = []
     counts = np.array([5, 3, 2, 0, 0, 0])
     for t in range(400):
-        nu = perturb_to_signed_measure(counts, 1.0, 10, gen.split(t))
-        totals.append(nu.sum())
+        totals.append(noisy_cell_counts(counts, 1.0, gen.split(t)).sum() / 10)
     assert abs(np.mean(totals) - 1.0) < 0.15  # noise is mean-zero
+
+
+def _project(nu, lattice):
+    """project_to_probability on a decimal nu (at most 3 places), as counts nu * 1000 of n = 1000."""
+    return project_to_probability(np.rint(np.asarray(nu) * 1000).astype(np.int64), 1000, lattice)
 
 
 def _simplex_grid(m, step):
@@ -172,7 +193,7 @@ def _enumerate_vertices_objective(nu, rho):
 def test_projection_identity_when_already_probability():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
     nu = np.array([0.25, 0.75])
-    mu, obj = project_to_probability(nu, lat)
+    mu, obj = _project(nu, lat)
     assert obj == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(mu, [0.25, 0.75], atol=1e-9)
 
@@ -180,14 +201,14 @@ def test_projection_identity_when_already_probability():
 def test_projection_mass_destruction_example():
     # two anchors at distance 0.5, nu = (0.7, 0.5): destroy 0.2 -> objective 0.2
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
-    mu, obj = project_to_probability(np.array([0.7, 0.5]), lat)
+    mu, obj = _project(np.array([0.7, 0.5]), lat)
     assert obj == pytest.approx(0.2, abs=1e-9)
     assert np.allclose(mu.sum(), 1.0, atol=1e-9)
 
 
 def test_projection_mass_creation_example():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
-    mu, obj = project_to_probability(np.array([0.4, 0.4]), lat)
+    mu, obj = _project(np.array([0.4, 0.4]), lat)
     assert obj == pytest.approx(0.2, abs=1e-9)
 
 
@@ -198,7 +219,7 @@ def test_projection_objective_matches_bfs_enumeration_oracle():
         ints = rng.choice(np.arange(-2, 3), size=(m, 1), replace=False)
         lat = Lattice(delta=0.8, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.3, 0.5, m), 2)
-        _, obj = project_to_probability(nu, lat)
+        _, obj = _project(nu, lat)
         oracle = _enumerate_vertices_objective(nu, anchor_distances(lat))
         assert obj == pytest.approx(oracle, abs=1e-7)
 
@@ -212,7 +233,7 @@ def test_projection_objective_matches_grid_plus_dual_oracle():
         lat = Lattice(delta=0.6, radius=2.0, d_prime=2, int_coords=ints)
         nu = np.round(rng.normal(0.3, 0.4, m), 2)
         rho = anchor_distances(lat)
-        _, obj = project_to_probability(nu, lat)
+        _, obj = _project(nu, lat)
         oracle = min(
             _bl_distance_oracle(nu, mu, rho) for mu in _simplex_grid(m, 40)
         )
@@ -221,7 +242,7 @@ def test_projection_objective_matches_grid_plus_dual_oracle():
 
 
 def test_projection_flow_agrees_with_simplex():
-    # the grid-graph flow (HiGHS) against the literal LP with l1 costs
+    # the grid-graph flow phases against the literal LP with l1 costs
     # (dense simplex); mu attains the objective
     rng = np.random.default_rng(5)
     for trial in range(20):
@@ -236,7 +257,7 @@ def test_projection_flow_agrees_with_simplex():
         nu = np.round(rng.normal(0.2, 0.5, m), 3)
         rho = anchor_distances(lat)
         _, o1 = bl_projection_lp_dense(nu, rho)
-        mu, o2 = project_to_probability(nu, lat)
+        mu, o2 = _project(nu, lat)
         assert o1 == pytest.approx(o2, abs=1e-7)
         assert _bl_distance_oracle(nu, mu, rho) == pytest.approx(o2, abs=1e-7)
 
@@ -258,7 +279,7 @@ def test_projection_transit_nodes_stay_exact():
         nu = np.round(rng.normal(0.1, 0.5, m), 3)
         assert _grid_graph(lat)[0] > m
         _, dense_obj = bl_projection_lp_dense(nu, anchor_distances(lat))
-        mu, grid_obj = project_to_probability(nu, lat)
+        mu, grid_obj = _project(nu, lat)
         assert mu.shape == (m,)
         assert dense_obj == pytest.approx(grid_obj, abs=1e-7)
 
@@ -282,7 +303,7 @@ def test_l1_objective_sandwiches_l2_objective(d_prime):
     assert 10 <= lat.size <= 40
     for trial in range(4):
         nu = np.round(rng.normal(1.0 / lat.size, 2.0 / lat.size, lat.size), 3)
-        _, obj_l1 = project_to_probability(nu, lat)
+        _, obj_l1 = _project(nu, lat)
         _, obj_l2 = bl_projection_lp_dense(nu, anchor_distances(lat, "l2"))
         assert obj_l2 <= obj_l1 + 1e-9
         assert obj_l1 <= math.sqrt(d_prime) * obj_l2 + 1e-9
@@ -294,7 +315,7 @@ def test_projection_closed_form_when_delta_at_least_two():
         lat = build_lattice(1.5, delta, 2)
         for trial in range(6):
             nu = np.round(rng.normal(0.15, 0.3, lat.size), 3)
-            mu, obj = project_to_probability(nu, lat)
+            mu, obj = _project(nu, lat)
             rho = anchor_distances(lat)
             _, oracle = bl_projection_lp_dense(nu, rho)
             assert obj == pytest.approx(oracle, abs=1e-9)
@@ -304,10 +325,136 @@ def test_projection_closed_form_when_delta_at_least_two():
 
 def test_closed_form_cuts_excess_from_smallest_cells():
     lat = Lattice(delta=2.0, radius=2.0, d_prime=1, int_coords=np.array([[-1], [0], [1], [2]]))
-    mu, obj = project_to_probability(np.array([0.3, 0.6, 0.3, 0.2]), lat)
+    mu, obj = _project(np.array([0.3, 0.6, 0.3, 0.2]), lat)
     # excess 0.4: all 0.2 of cell 3, then 0.2 of cell 0 (the lower index of the 0.3 tie)
     assert obj == pytest.approx(0.4, abs=1e-12)
     assert np.allclose(mu, [0.1, 0.6, 0.3, 0.0], atol=1e-12)
+
+
+def _gate_instances():
+    """100 seeded (counts, n, lattice) instances for the flow projection gate.
+
+    Ball lattices with d' in {1, 2, 3} and delta from 0.15 to 2.5, including
+    delta = 2 / l for l = 1..4; positive mass S+ below, at and above n, the
+    last with a small excess (the move budget binds) and a large one; all
+    counts <= 0; one anchor; sparse lattices with transit nodes; and the
+    noisy counts of the golden PSMM configs.
+    """
+    rng = np.random.default_rng(13)
+    deltas = [0.15, 0.25, 0.4, 0.5, 2 / 3, 0.8, 1.0, 1.3, 2.0, 2.5]
+    instances = []
+    for trial in range(84):
+        d_prime, delta = 1 + trial % 3, deltas[trial % len(deltas)]
+        reach = rng.uniform(1.0, 9.0 if d_prime == 1 else 3.5 if d_prime == 2 else 2.2)
+        lat = build_lattice(max(delta * reach, delta / 2), delta, d_prime)
+        counts = rng.integers(-4, 6, lat.size)
+        positive = int(np.maximum(counts, 0).sum())
+        mode = (trial // len(deltas)) % 5
+        if mode == 4 or positive < 2:
+            n = positive + int(rng.integers(0, 5)) + 1  # S+ < n
+        elif mode == 3:
+            n = positive  # S+ = n
+        else:  # S+ > n: excess 1-2 (binding budget) or most of the mass
+            n = positive - int(rng.integers(1, 3)) if mode < 2 else int(rng.integers(1, 3))
+        instances.append((counts, n, lat))
+    cand = np.stack(np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij"), -1).reshape(-1, 2)
+    for trial in range(10):  # transit nodes
+        ints = cand[rng.choice(cand.shape[0], int(rng.integers(6, 12)), replace=False)]
+        lat = Lattice(delta=0.4, radius=1.6, d_prime=2, int_coords=ints)
+        counts = rng.integers(-5, 8, lat.size)
+        instances.append((counts, max(int(np.maximum(counts, 0).sum()) - 3 * (trial % 3), 1), lat))
+    lat = build_lattice(1.0, 0.5, 2)
+    instances.append((-rng.integers(0, 4, lat.size), 7, lat))  # every nu <= 0
+    for n in (3, 5, 9):
+        instances.append((np.array([5]), n, Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[1]]))))
+    return instances
+
+
+def _golden_psmm_instances(monkeypatch):
+    """The (counts, n, lattice) that the golden PSMM configs project."""
+    import test_golden
+    from lowdp import psmm
+
+    seen = []
+    project = psmm.project_to_probability
+
+    def record(counts, n, lattice):
+        seen.append((counts, n, lattice))
+        return project(counts, n, lattice)
+
+    monkeypatch.setattr(psmm, "project_to_probability", record)
+    for name in ("psmm-lp", "psmm-closed-form"):
+        test_golden._run_pipeline(name)
+    return seen
+
+
+def test_flow_projection_matches_grid_lp_oracle(monkeypatch):
+    instances = _gate_instances() + _golden_psmm_instances(monkeypatch)
+    assert len(instances) == 100
+    budget_binds = budget_free = 0
+    for counts, n, lat in instances:
+        mu, obj = project_to_probability(counts, n, lat)
+        _, oracle = bl_projection_grid_lp(counts, n, lat)
+        assert obj == pytest.approx(oracle, abs=1e-9)
+        assert (mu >= 0).all() and mu.sum() == pytest.approx(1.0, abs=1e-12)
+        if np.maximum(counts, 0).sum() < n:
+            continue
+        units = mu * n  # integral when S+ >= n
+        assert np.abs(units - np.rint(units)).max() <= 1e-9 and np.rint(units).sum() == n
+        if np.maximum(counts, 0).sum() == n:
+            continue
+        plan = _excess_projection(counts.astype(np.int64), n, lat)
+        assert np.array_equal(plan.kept, np.rint(units)) and plan.objective == obj
+        assert plan.phases <= _saving_steps(lat.delta)
+        assert (plan.gap is None) == (_saving_steps(lat.delta) == 0)
+        if plan.gap is not None:
+            assert abs(plan.gap) <= 1e-9
+            budget_binds += plan.destroyed.sum() == 0
+            budget_free += plan.destroyed.sum() > 0 and np.abs(plan.flow).sum() > 0
+    assert budget_binds >= 5 and budget_free >= 5
+
+
+def test_saving_steps_at_exact_ratios():
+    for steps in range(1, 5):
+        assert _saving_steps(2.0 / steps) == steps - 1
+    assert _saving_steps(0.15) == 13 and _saving_steps(2.5) == 0
+
+
+def test_certificate_rejects_feasible_plans_that_are_not_optimal():
+    # 3 units at the origin, a hole of 1 next to it, n = 1: one unit moves
+    # one step, one is destroyed, one kept
+    lat = build_lattice(1.0, 0.5, 2)
+    graph = _grid_graph(lat)
+    index = {tuple(z): i for i, z in enumerate(lat.int_coords)}
+    counts = np.zeros(lat.size, dtype=np.int64)
+    counts[index[(0, 0)]], counts[index[(1, 0)]] = 3, -1
+    plan = _excess_projection(counts, 1, lat)
+    assert plan.objective == pytest.approx(1.0 + lat.delta) and plan.phases == 1
+    parts = (plan.destroyed, plan.created, plan.kept)
+    edge = {(int(t), int(h)): e for e, (t, h) in enumerate(zip(graph[2], graph[3]))}
+
+    def step(a, b):
+        return edge[index[a], index[b]]
+
+    # the same unit rerouted (0,0) -> (0,1) -> (1,1) -> (1,0): two steps longer
+    detour = plan.flow.copy()
+    detour[step((0, 0), (1, 0))] -= 1
+    detour[step((0, 0), (0, 1))] += 1
+    detour[step((0, 1), (1, 1))] += 1
+    detour[step((1, 0), (1, 1))] -= 1
+    with pytest.raises(SolverError, match="not optimal"):
+        _certified_objective(graph, counts, 1, lat.delta, detour, *parts)
+    # the unit destroyed and the hole created instead of the move
+    destroyed, created = plan.destroyed.copy(), plan.created.copy()
+    destroyed[index[(0, 0)]] += 1
+    created[index[(1, 0)]] += 1
+    with pytest.raises(SolverError, match="not optimal"):
+        _certified_objective(graph, counts, 1, lat.delta, np.zeros_like(plan.flow), destroyed, created, plan.kept)
+    # one unit more kept at the origin than it holds
+    kept = plan.kept.copy()
+    kept[index[(0, 0)]] += 1
+    with pytest.raises(SolverError, match="not feasible"):
+        _certified_objective(graph, counts, 1, lat.delta, plan.flow, plan.destroyed, plan.created, kept)
 
 
 def test_projection_output_is_probability_and_bounded_below():
@@ -317,7 +464,7 @@ def test_projection_output_is_probability_and_bounded_below():
         ints = rng.choice(np.arange(-3, 4), size=(m, 1), replace=False)
         lat = Lattice(delta=0.5, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.4, 0.7, m), 3)
-        mu, obj = project_to_probability(nu, lat)
+        mu, obj = _project(nu, lat)
         assert (mu >= -1e-12).all()
         assert mu.sum() == pytest.approx(1.0, abs=1e-9)
         assert obj >= abs(nu.sum() - 1.0) - 1e-9  # constant test function bound
