@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -24,7 +25,7 @@ from .audit import AUDIT_MECHANISMS, audit_mechanism
 from .errors import IngestError, LowdpError, SizeOverflowError, SolverError
 from .metrics import wasserstein1, wasserstein1_sampled, wasserstein2
 from .noise import SeededGenerator
-from .pca import Dataset
+from .pca import BLOCK, Dataset
 from .pipeline import BUDGET_SPLITS, SUBROUTINES, PipelineConfig, generate
 from .planted import planted_subspace_dataset
 from .psmm import DELTA_MODES
@@ -46,65 +47,82 @@ def ingest(path, *, rescale: bool = False):
     Values must be numeric and, unless ``rescale`` is set, already in [0, 1];
     with ``rescale`` each column is min-max mapped onto [0, 1] and the
     per-column ranges are reported so the step is on the preprocessing
-    record.  Returns (Dataset, preprocessing-info).
+    record.  Rows are parsed into float blocks of BLOCK rows, which are
+    then copied into the one d x n array the Dataset keeps.  Returns
+    (Dataset, preprocessing-info).
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
+    blocks, n = [], 0
     with path.open(newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows:
-        raise IngestError(f"{path}: file contains no data rows")
-    start = 0
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        start = 1  # header row
-    data_rows = rows[start:]
-    if not data_rows:
-        raise IngestError(f"{path}: file contains a header but no data rows")
-    width = len(data_rows[0])
-    values = np.empty((len(data_rows), width))
-    for i, row in enumerate(data_rows):
-        if len(row) != width:
-            raise IngestError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+        rows = (row for row in csv.reader(handle) if row)
+        first = next(rows, None)
+        if first is None:
+            raise IngestError(f"{path}: file contains no data rows")
         try:
-            values[i] = list(map(float, row))
+            [float(cell) for cell in first]
+            rows = itertools.chain([first], rows)
         except ValueError:
-            for j, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
-                    ) from None
+            pass  # header row
+        for n, row in enumerate(rows, 1):
+            if n == 1:
+                width = len(row)
+            if len(row) != width:
+                raise IngestError(f"{path}: row {n} has {len(row)} cells, expected {width}")
+            slot = (n - 1) % BLOCK
+            if slot == 0:
+                blocks.append(np.empty((BLOCK, width)))
+            try:
+                blocks[-1][slot] = list(map(float, row))
+            except ValueError:
+                for j, cell in enumerate(row, 1):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise IngestError(f"{path}: non-numeric cell at row {n}, column {j}: {cell!r}") from None
+    if n == 0:
+        raise IngestError(f"{path}: file contains a header but no data rows")
+    values = np.empty((width, n))
+    for start, block in zip(range(0, n, BLOCK), blocks):
+        values[:, start : start + BLOCK] = block[: n - start].T
     info = {"rescale": bool(rescale), "columns": None}
     if rescale:
-        lo = values.min(axis=0)
-        hi = values.max(axis=0)
+        lo = values.min(axis=1)
+        hi = values.max(axis=1)
         span = hi - lo
         flat = span == 0
         span[flat] = 1.0
-        values = (values - lo) / span
-        values[:, flat] = 0.5  # constant columns carry no information
+        values -= lo[:, None]
+        values /= span[:, None]
+        values[flat] = 0.5  # constant columns carry no information
         info["columns"] = [{"min": float(a), "max": float(b)} for a, b in zip(lo, hi)]
     else:
-        bad = np.argwhere((values < 0.0) | (values > 1.0))
-        if bad.size:
-            i, j = bad[0]
-            raise IngestError(
-                f"{path}: value {float(values[i, j])!r} at row {int(i) + 1}, column {int(j) + 1} "
-                "is outside [0, 1]; pass --rescale to min-max normalize"
-            )
-    return Dataset(values.T), info
+        for start in range(0, n, BLOCK):
+            block = values[:, start : start + BLOCK]
+            bad = (block < 0.0) | (block > 1.0)
+            if bad.any():
+                i = int(np.flatnonzero(bad.any(axis=0))[0])
+                j = int(np.flatnonzero(bad[:, i])[0])
+                raise IngestError(
+                    f"{path}: value {float(block[j, i])!r} at row {start + i + 1}, column {j + 1} "
+                    "is outside [0, 1]; pass --rescale to min-max normalize"
+                )
+    return Dataset(values), info
 
 
 def write_points_csv(path, points: np.ndarray) -> None:
-    """One point per row; floats serialized as shortest round-trip decimals."""
+    """One point per row; floats serialized as shortest round-trip decimals.
+
+    Rows are formatted BLOCK at a time, so only one block's floats are
+    Python objects at once.
+    """
     points = np.asarray(points, dtype=np.float64)
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(f"x{j}" for j in range(points.shape[0])) + "\r\n")
-        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in points.T.tolist())
+        for start in range(0, points.shape[1], BLOCK):
+            rows = points[:, start : start + BLOCK].T.tolist()
+            handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _write_json(path, payload: dict) -> None:

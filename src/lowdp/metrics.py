@@ -20,7 +20,9 @@ multiplicities and the k x K transport is solved over the K atoms: a
 vectorised price phase lowers the potentials of over-demanded atoms and
 places most draws at once, then successive shortest paths insert the rest.
 Its potentials are checked against the value on every call.  Otherwise the
-k x k costs, with a 1e-11 tie-breaking jitter, go to the assignment solver.
+k x k costs, with a 1e-11 tie-breaking jitter added in place, go to the
+assignment solver, and the matched pairs' costs are recomputed from the
+points, so each repeat holds one k x k matrix.
 The calling thread draws and prepares the repeats in order; only their
 assignment solves run in a thread pool, at most min(repeats, usable cores)
 at once, and each repeat's value is stored by index and averaged in repeat
@@ -47,6 +49,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import InvalidParameterError, SizeOverflowError, SolverError
 from .noise import SeededGenerator
+from .pca import BLOCK
 
 __all__ = [
     "TransportResult",
@@ -224,13 +227,15 @@ def wasserstein1_sampled(
     distinct atoms, 4 K <= k, is collapsed to K weighted atoms and solved as
     a k x K transport by successive shortest paths, with a duality check
     that raises SolverError; other draws take the k x k assignment on
-    jittered costs.  Both paths report the mean cost of the matched pairs.
-    Repeats are prepared in batches of at most w = min(repeats, usable
-    cores), the CPU affinity of the process; the batch's assignment solves
-    run side by side in w threads, which bounds the live k x k matrices to
-    two per batch member.  The result is the same bit for bit on any core
-    count.  Biased upward by the finite-sample floor; use only where the
-    exact solver refuses.  k and repeats must be positive integers.
+    jittered costs.  Both paths report the mean cost of the matched pairs;
+    the assignment path reads them back from the matched point pairs, so
+    each repeat keeps only its jittered k x k matrix.  Repeats are prepared
+    in batches of at most w = min(repeats, usable cores), the CPU affinity
+    of the process; the batch's assignment solves run side by side in w
+    threads, which bounds the live k x k matrices to one per batch member.
+    The result is the same bit for bit on any core count.  Biased upward by
+    the finite-sample floor; use only where the exact solver refuses.  k
+    and repeats must be positive integers.
     """
     for name, count in (("subsample size k", k), ("repeats", repeats)):
         if not isinstance(count, (int, np.integer)) or count < 1:
@@ -254,18 +259,42 @@ def wasserstein1_sampled(
                     # costs are columns of the k x k matrix whichever side was collapsed
                     values[rep] = _checked_atom_transport(ground_distances(units, atoms, metric), counts)
                     continue
-                costs = ground_distances(xs, ys, metric)
-                # tiny deterministic jitter breaks cost ties, which can otherwise
-                # push the assignment solver into its worst case on sup-metric
-                # costs; built in place, so a repeat holds two k x k arrays
-                jittered = sub.split("jitter").random(costs.shape)
-                jittered *= 1e-11
-                jittered += costs
-                solves.append((rep, costs, pool.submit(linear_sum_assignment, jittered)))
-            for rep, costs, solve in solves:
+                solve = pool.submit(linear_sum_assignment, _jittered_costs(xs, ys, metric, sub))
+                solves.append((rep, xs, ys, solve))
+            for rep, xs, ys, solve in solves:
                 rows, cols = solve.result()
-                values[rep] = costs[rows, cols].mean()
+                values[rep] = _matched_costs(xs[:, rows], ys[:, cols], metric).mean()
     return float(np.mean(values))
+
+
+def _jittered_costs(xs: np.ndarray, ys: np.ndarray, metric: str, gen: SeededGenerator) -> np.ndarray:
+    """The k x k ground distances plus a 1e-11 tie-breaking jitter, in one array.
+
+    Ties in the costs can push the assignment solver into its worst case on
+    sup-metric costs.  The jitter is drawn and added in row blocks of at most
+    max(BLOCK, k) entries; Philox fills in order, so the blocks draw what
+    one k x k draw would.
+    """
+    costs = ground_distances(xs, ys, metric)
+    noise = gen.split("jitter")
+    step = max(1, BLOCK // costs.shape[1])
+    for start in range(0, costs.shape[0], step):
+        rows = costs[start : start + step]
+        block = noise.random(rows.shape)
+        block *= 1e-11
+        rows += block
+    return costs
+
+
+def _matched_costs(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
+    """Ground distance of each column pair (x[:, i], y[:, i]).
+
+    The diagonals of cdist calls on blocks of sqrt(BLOCK) pairs: the same
+    kernel as the k x k costs, so each equals its cost entry to the bit.
+    """
+    step = math.isqrt(BLOCK)
+    blocks = [slice(s, s + step) for s in range(0, x.shape[1], step)]
+    return np.concatenate([np.diagonal(ground_distances(x[:, b], y[:, b], metric)) for b in blocks])
 
 
 def _checked_atom_transport(costs: np.ndarray, counts: np.ndarray) -> float:

@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-12
+# Columns per block of every blocked pass over a d x n array: each pass's
+# temporaries stay d x BLOCK.  The other blocked passes (CSV rows, the
+# sampled-W1 jitter and matched pairs) take blocks of about BLOCK items.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -185,7 +189,9 @@ def noisy_projection(
 
     The mean is perturbed with i.i.d. Laplace(d / (eps n)) coordinates (the
     l1 sensitivity of the mean is d/n).  Coordinates are the inner products
-    against the sign-fixed top-d' eigenvectors of the private covariance.
+    against the sign-fixed top-d' eigenvectors of the private covariance,
+    taken BLOCK columns at a time through one reused d x BLOCK buffer, so
+    the only n-sized array this allocates is the d' x n coordinates.
     """
     dataset = _as_dataset(data)
     d, n = dataset.points.shape
@@ -194,7 +200,13 @@ def noisy_projection(
     basis = top_eigenvectors(cov, d_prime)
     sigma = d / (epsilon * n)
     private_mean = dataset.mean + sample_laplace(sigma, gen, size=d)
-    coords = basis.T @ (dataset.points - private_mean[:, None])
+    coords = np.empty((basis.shape[1], n))
+    shifted = np.empty((d, min(n, BLOCK)))
+    for start in range(0, n, BLOCK):
+        cols = dataset.points[:, start : start + BLOCK]
+        block = shifted[:, : cols.shape[1]]
+        np.subtract(cols, private_mean[:, None], out=block)
+        np.matmul(basis.T, block, out=coords[:, start : start + BLOCK])
     radius = float(np.sqrt(d) + np.linalg.norm(private_mean))
     return ProjectedDataset(
         basis=basis,

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidBudgetError, InvalidDimensionError, InvalidParameterError, InvalidRegimeError
 from .metrics import projection_diagnostics
 from .noise import SeededGenerator, sample_laplace
-from .pca import Dataset, noisy_projection, private_covariance, select_dimension
+from .pca import BLOCK, Dataset, noisy_projection, private_covariance, select_dimension
 from .pmm import run_pmm
 from .psmm import DELTA_MODES, run_psmm
 
@@ -96,10 +96,6 @@ class SyntheticDataset:
         return self.points.shape[1]
 
 
-# Columns per block of the on-subspace check: its temporaries stay d x _CHECK_BLOCK.
-_CHECK_BLOCK = 4096
-
-
 def clamp(points: np.ndarray) -> np.ndarray:
     """Coordinatewise metric projection onto [0, 1]: the nearest cube point."""
     return np.clip(np.asarray(points, dtype=np.float64), 0.0, 1.0)
@@ -107,8 +103,8 @@ def clamp(points: np.ndarray) -> np.ndarray:
 
 def _on_subspace(points: np.ndarray, center: np.ndarray, basis: np.ndarray) -> bool:
     """Whether every column of points, less center, is within 1e-10 (l2) of span(basis)."""
-    for start in range(0, points.shape[1], _CHECK_BLOCK):
-        residual = points[:, start : start + _CHECK_BLOCK] - center[:, None]
+    for start in range(0, points.shape[1], BLOCK):
+        residual = points[:, start : start + BLOCK] - center[:, None]
         residual -= basis @ (basis.T @ residual)
         if not np.linalg.norm(residual, axis=0).max() <= 1e-10:
             return False
@@ -122,6 +118,9 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     config.seed through named sub-streams, one per stage.  The data mean and
     centered Gram are computed once (on the Dataset) and feed the covariance
     release, the projection's centering, the add-back and the diagnostics.
+    The lift, the mean add-back, the on-subspace check and the clamp all
+    work in place in the one d x m output; ``keep_intermediates`` adds
+    copies of the lifted and the pre-clamp points.
     """
     dataset = data if isinstance(data, Dataset) else Dataset(np.asarray(data, dtype=np.float64))
     d, n = dataset.points.shape
@@ -169,23 +168,29 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     effective_noise = (effective_noise + effective_noise.T) / 2.0
     diag = projection_diagnostics(second_moment, effective_noise, projected.basis, d_prime)
 
-    lifted = projected.basis @ coords_out
+    synthetic = projected.basis @ coords_out
+    lifted = synthetic.copy() if keep_intermediates else None
     if config.budget_split == "four":
         add_back_mean = dataset.mean + sample_laplace(d / (eps["add_back"] * n), root.split("add-back"), size=d)
     else:
         add_back_mean = projected.private_mean  # saved private mean, no extra budget
-    pre_clamp = lifted + add_back_mean[:, None]
-    synthetic = clamp(pre_clamp)
+    synthetic += add_back_mean[:, None]
+    pre_clamp = synthetic.copy() if keep_intermediates else None
+    on_subspace = _on_subspace(synthetic, add_back_mean, projected.basis)
+    np.clip(synthetic, 0.0, 1.0, out=synthetic)
 
     m = synthetic.shape[1]
     gram_gap = np.abs(projected.basis.T @ projected.basis - np.eye(d_prime)).max()
-    coord_norms = np.linalg.norm(projected.coords, axis=0)
+    # squared coordinate norms BLOCK columns at a time; sqrt is monotone, so it is taken once
+    coord_norm = math.sqrt(
+        max(np.square(projected.coords[:, s : s + BLOCK]).sum(axis=0).max() for s in range(0, n, BLOCK))
+    )
     checks = {
         "projection_stability": bool(diag.stability_ok),
         "eigenvalue_shift": bool(diag.weyl_ok),
         "basis_orthonormal": bool(gram_gap <= 1e-10),
-        "coords_within_radius": bool(coord_norms.max(initial=0.0) <= projected.radius + 1e-9),
-        "pre_clamp_on_subspace": _on_subspace(pre_clamp, add_back_mean, projected.basis),
+        "coords_within_radius": coord_norm <= projected.radius + 1e-9,
+        "pre_clamp_on_subspace": on_subspace,
     }
     provenance = {
         "config": asdict(config),

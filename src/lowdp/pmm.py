@@ -290,9 +290,12 @@ def sample_synthetic(tree: CountTree, gen: SeededGenerator) -> np.ndarray:
     leaves = np.flatnonzero(counts)
     lo, hi = tree._leaf_bounds(leaves)
     lo_rep = np.repeat(lo, counts[leaves], axis=0)
-    hi_rep = np.repeat(hi, counts[leaves], axis=0)
-    u = gen.split("sample").random((total, tree.d_prime))
-    return (lo_rep + u * (hi_rep - lo_rep)).T
+    span = np.repeat(hi, counts[leaves], axis=0)
+    span -= lo_rep
+    points = gen.split("sample").random((total, tree.d_prime))
+    points *= span
+    points += lo_rep  # lo + u (hi - lo), in place
+    return points.T
 
 
 def max_leaf_side(tree: CountTree) -> float:

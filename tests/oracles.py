@@ -1,15 +1,15 @@
-"""Brute-force, dense-LP, HiGHS grid-LP, recursive and per-column oracles
-the tests check the library against, and a noiseless generator for runs
-whose release equals its input."""
+"""Brute-force, dense-LP, HiGHS grid-LP, recursive, per-column and
+whole-array oracles the tests check the library against, and a noiseless
+generator for runs whose release equals its input."""
 
 import itertools
 import math
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
-from lowdp.metrics import ground_distances
+from lowdp.metrics import _COLLAPSE_RATIO, _checked_atom_transport, _draw_atoms, ground_distances
 from lowdp.noise import SeededGenerator
 from lowdp.psmm import _grid_graph
 from simplex import solve_dense_lp
@@ -175,3 +175,41 @@ def leaf_centers(tree):
     """Each leaf's consistent count of copies of its center, d' x m, leaves in theta order."""
     lo, hi = tree.leaf_boxes()
     return np.repeat((lo + hi) / 2.0, tree.consistent[tree.depth], axis=0).T
+
+
+def planted_points_by_concatenation(n, d, d_prime, gen):
+    """The planted sampler's points, each rejection batch's candidates formed
+    whole and the accepted ones concatenated, then the first n clipped."""
+    basis, _ = np.linalg.qr(gen.standard_normal((d, d_prime)))
+    center = np.full(d, 0.5)
+    extent = 0.5 / np.abs(basis).max(axis=0)
+    points = np.empty((d, 0))
+    while points.shape[1] < n:
+        batch = max(2 * (n - points.shape[1]), 128)
+        t = (gen.random((d_prime, batch)) * 2.0 - 1.0) * extent[:, None]
+        cand = center[:, None] + basis @ t
+        inside = ((cand >= 0.0) & (cand <= 1.0)).all(axis=0)
+        points = np.concatenate([points, cand[:, inside]], axis=1)
+    return np.clip(points[:, :n], 0.0, 1.0)
+
+
+def wasserstein1_sampled_two_matrices(p, q, gen, metric="linf", *, k=1024, repeats=2):
+    """The sampled W1 estimate one repeat at a time: the collapsed atom
+    transport, or an assignment on a jittered copy of the k x k costs whose
+    matched pairs are read from the unjittered costs."""
+    values = []
+    for rep in range(repeats):
+        sub = gen.split(f"w1-sample-{rep}")
+        xs = _draw_atoms(p, k, sub.split("p"))
+        ys = _draw_atoms(q, k, sub.split("q"))
+        ux, x_counts = np.unique(xs, axis=1, return_counts=True)
+        uy, y_counts = np.unique(ys, axis=1, return_counts=True)
+        units, atoms, counts = (ys, ux, x_counts) if ux.shape[1] < uy.shape[1] else (xs, uy, y_counts)
+        if atoms.shape[1] * _COLLAPSE_RATIO <= k:
+            values.append(_checked_atom_transport(ground_distances(units, atoms, metric), counts))
+            continue
+        costs = ground_distances(xs, ys, metric)
+        jittered = costs + sub.split("jitter").random(costs.shape) * 1e-11
+        rows, cols = linear_sum_assignment(jittered)
+        values.append(costs[rows, cols].mean())
+    return float(np.mean(values))

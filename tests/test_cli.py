@@ -9,6 +9,7 @@ import lowdp.cli
 from lowdp.cli import ingest, main, write_points_csv
 from lowdp.errors import IngestError, SolverError
 from lowdp.noise import SeededGenerator
+from lowdp.pca import BLOCK
 from lowdp.planted import planted_subspace_dataset
 
 
@@ -81,6 +82,45 @@ def test_csv_writer_bytes_pinned_and_round_trip_exact(tmp_path):
     assert path.read_bytes() == b"x0,x1\r\n0.0,1.0\r\n5e-324,1e-300\r\n0.1,0.0\r\n"
     back, _ = ingest(path)
     assert back.points.tobytes() == points.tobytes()
+
+
+def test_csv_writer_blocks_equal_one_shot_formatting(tmp_path):
+    points = np.random.default_rng(8).random((3, 2 * BLOCK + 3))
+    points[1, ::7] = 1e-300
+    path = tmp_path / "blocks.csv"
+    write_points_csv(path, points)
+    rows = "".join(",".join(map(repr, row)) + "\r\n" for row in points.T.tolist())
+    assert path.read_bytes() == ("x0,x1,x2\r\n" + rows).encode()
+
+
+def test_ingest_blocks_equal_one_parse_of_every_row(tmp_path):
+    rng = np.random.default_rng(9)
+    rows = (rng.random((2 * BLOCK + 5, 3)) * 7 - 2).tolist()
+    path = tmp_path / "wide.csv"
+    _write_csv(path, rows, header=["a", "b", "c"])
+    values = np.array(rows)
+    data, info = ingest(path, rescale=True)
+    lo, hi = values.min(axis=0), values.max(axis=0)
+    assert data.points.tobytes() == np.ascontiguousarray(((values - lo) / (hi - lo)).T).tobytes()
+    assert info["columns"] == [{"min": a, "max": b} for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def test_ingest_errors_name_rows_in_later_blocks(tmp_path):
+    rows = [["0.5", "0.5", "0.5"] for _ in range(2 * BLOCK + 5)]
+    path = tmp_path / "late.csv"
+    rows[BLOCK + 1][2] = "1.5"
+    _write_csv(path, rows)
+    with pytest.raises(IngestError, match=f"value 1.5 at row {BLOCK + 2}, column 3 is outside"):
+        ingest(path)
+    # a cell that does not parse is reported before any value out of range
+    rows[2 * BLOCK + 2][1] = "oops"
+    _write_csv(path, rows)
+    with pytest.raises(IngestError, match=f"non-numeric cell at row {2 * BLOCK + 3}, column 2: 'oops'"):
+        ingest(path)
+    rows[BLOCK + 3] = ["0.5"]
+    _write_csv(path, rows, header=["x0", "x1", "x2"])
+    with pytest.raises(IngestError, match=f"row {BLOCK + 4} has 1 cells, expected 3"):
+        ingest(path)
 
 
 def _generate_args(inp, out, extra=()):

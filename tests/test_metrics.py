@@ -17,7 +17,7 @@ from lowdp.metrics import (
     wasserstein2,
 )
 from lowdp.noise import SeededGenerator, sample_symmetric_laplace_matrix
-from oracles import wasserstein1_bruteforce
+from oracles import wasserstein1_bruteforce, wasserstein1_sampled_two_matrices
 
 
 def test_identical_measures_have_zero_distance():
@@ -274,6 +274,27 @@ def test_concurrent_solves_equal_one_core_to_the_bit(metric, repeats, monkeypatc
         assert len(calls) == 2 * solves
     # the last instance mixes collapsed repeats with assignment repeats
     assert 0 < solves < repeats
+
+
+def _sampled_instances():
+    """(x, y, k): distinct atoms (assignment), a 4-atom side (collapse), and a
+    mix where some draws collapse and others do not."""
+    rng = np.random.default_rng(30)
+    yield rng.random((3, 700)), rng.random((3, 600)), 512
+    yield rng.random((5, 300)), rng.random((5, 300)), 100  # partial jitter and pair blocks
+    yield rng.random((2, 40)), rng.random((2, 50)), 1
+    yield rng.random((3, 600)), np.repeat(rng.random((3, 4)), 150, axis=1), 256
+    heavy = np.concatenate([np.repeat(rng.random((3, 1)), 150, axis=1), rng.random((3, 50))], axis=1)
+    yield rng.random((3, 200)), heavy, 64
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_sampled_estimator_equals_the_two_matrix_path_to_the_bit(metric):
+    repeats = lowdp.metrics._usable_cores() + 2
+    for x, y, k in _sampled_instances():
+        value = wasserstein1_sampled(x, y, SeededGenerator(k), metric, k=k, repeats=repeats)
+        expected = wasserstein1_sampled_two_matrices(x, y, SeededGenerator(k), metric, k=k, repeats=repeats)
+        assert value.hex() == expected.hex()
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])

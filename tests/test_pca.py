@@ -10,6 +10,7 @@ from lowdp.errors import (
 )
 from lowdp.noise import SeededGenerator
 from lowdp.pca import (
+    BLOCK,
     Dataset,
     PrivateCovariance,
     centered_covariance,
@@ -210,6 +211,15 @@ def test_noisy_projection_zero_noise_spanned_data_is_lossless():
     proj = noisy_projection(data.points, cov, 2, 1.0, NoiselessGenerator(0))
     recon = proj.basis @ proj.coords + proj.private_mean[:, None]
     assert np.linalg.norm(data.points - recon) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 300, 2 * BLOCK + 7])
+def test_noisy_projection_blocks_equal_one_product_to_the_bit(n):
+    pts = np.random.default_rng(n).random((7, n))
+    cov = private_covariance(pts, 1.0, SeededGenerator(4))
+    proj = noisy_projection(pts, cov, 3, 1.0, SeededGenerator(5))
+    whole = proj.basis.T @ (pts - proj.private_mean[:, None])
+    assert proj.coords.tobytes() == whole.tobytes()
 
 
 def test_noisy_projection_radius_formula():

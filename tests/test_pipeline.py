@@ -9,6 +9,7 @@ import lowdp.pipeline
 from lowdp.errors import InvalidBudgetError, InvalidDimensionError, InvalidParameterError, InvalidRegimeError
 from lowdp.metrics import wasserstein1
 from lowdp.noise import SeededGenerator
+from lowdp.pca import BLOCK
 from lowdp.pipeline import PipelineConfig, clamp, generate
 from lowdp.planted import planted_subspace_dataset
 
@@ -97,11 +98,34 @@ def test_pre_clamp_output_lies_on_private_affine_subspace():
     assert np.linalg.norm(residual, axis=0).max() < 1e-10
 
 
+@pytest.mark.parametrize(
+    "n, d, config",
+    [
+        (2 * BLOCK + 9, 6, {"d_prime": 2, "subroutine": "pmm"}),
+        (500, 4, {"d_prime": 1, "subroutine": "pmm", "budget_split": "four"}),
+        (600, 5, {"d_prime": 3, "subroutine": "psmm", "delta_mode": "proof", "delta_scale": 4.0}),
+    ],
+)
+def test_in_place_lift_and_clamp_keep_the_intermediates_exact(n, d, config):
+    data, _ = planted_subspace_dataset(n, d, 2, SeededGenerator(n))
+    config = PipelineConfig(epsilon=2.0, seed=11, **config)
+    kept = generate(data, config, keep_intermediates=True)
+    plain = generate(data, config)
+    inter = kept.intermediates
+    lifted = inter["projected"].basis @ inter["coords_out"]
+    assert inter["lifted"].tobytes() == lifted.tobytes()
+    assert inter["pre_clamp"].tobytes() == (lifted + inter["add_back_mean"][:, None]).tobytes()
+    assert kept.points.tobytes() == clamp(inter["pre_clamp"]).tobytes()
+    assert plain.intermediates is None
+    assert plain.points.tobytes() == kept.points.tobytes()
+    assert plain.provenance == kept.provenance
+
+
 def test_on_subspace_check_reaches_the_last_partial_block():
     rng = np.random.default_rng(5)
     basis, _ = np.linalg.qr(rng.normal(size=(6, 2)))
     center = rng.uniform(size=6)
-    points = basis @ rng.normal(size=(2, 2 * lowdp.pipeline._CHECK_BLOCK + 5)) + center[:, None]
+    points = basis @ rng.normal(size=(2, 2 * BLOCK + 5)) + center[:, None]
     assert lowdp.pipeline._on_subspace(points, center, basis)
     off = rng.normal(size=6)
     off -= basis @ (basis.T @ off)
@@ -116,7 +140,7 @@ def test_on_subspace_check_holds_on_empty_and_block_straddling_runs():
     assert empty.size == 0 and empty.provenance["checks"]["pre_clamp_on_subspace"] is True
     data, _ = planted_subspace_dataset(6000, 4, 2, SeededGenerator(6))
     result = generate(data, PipelineConfig(epsilon=1.0, d_prime=2, subroutine="pmm", seed=1))
-    assert result.size > lowdp.pipeline._CHECK_BLOCK and result.size % lowdp.pipeline._CHECK_BLOCK != 0
+    assert result.size > BLOCK and result.size % BLOCK != 0
     assert result.provenance["checks"]["pre_clamp_on_subspace"] is True
 
 
