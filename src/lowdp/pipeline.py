@@ -41,6 +41,16 @@ _SPLITS = {
 BUDGET_SPLITS = tuple(_SPLITS)
 
 
+def _whole_at_least_one(value) -> bool:
+    """Whether value is a number, not a bool, with a whole value >= 1."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and float(value).is_integer()
+        and value >= 1
+    )
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Run configuration; every knob is explicit so runs replay exactly."""
@@ -65,16 +75,15 @@ class PipelineConfig:
         if self.delta_mode not in DELTA_MODES:
             raise InvalidParameterError(f"delta_mode must be one of {DELTA_MODES}, got {self.delta_mode!r}")
         if self.d_prime != "auto":
-            whole = (
-                isinstance(self.d_prime, numbers.Real)
-                and not isinstance(self.d_prime, bool)
-                and float(self.d_prime).is_integer()
-            )
-            if not (whole and self.d_prime >= 1):
+            if not _whole_at_least_one(self.d_prime):
                 raise InvalidDimensionError(f"d_prime must be 'auto' or an integer >= 1, got {self.d_prime!r}")
             object.__setattr__(self, "d_prime", int(self.d_prime))
         elif not 0.0 < self.tau < 1.0:
             raise InvalidParameterError(f"tau must be in (0, 1), got {self.tau}")
+        if self.m_target is not None:
+            if not _whole_at_least_one(self.m_target):
+                raise InvalidParameterError(f"m_target must be None or an integer >= 1, got {self.m_target!r}")
+            object.__setattr__(self, "m_target", int(self.m_target))
         if not self.delta_scale > 0:
             raise InvalidParameterError(f"delta_scale must be positive, got {self.delta_scale}")
 

@@ -7,8 +7,8 @@ noise with the level-dependent scales sigma_j = (1/eps) 2^{(1/2)(1-1/d')(r-j)},
 are clipped at zero, and are then repaired top-down into a consistent
 nonnegative integer tree whose leaves define the output measure.
 
-All cell geometry (node and leaf boxes, point classification, the largest
-leaf side) is read from one set of per-axis edges: the 1-D (lo + hi)/2
+All cell geometry (leaf bounds for sampling, point classification, the
+largest leaf side) is read from one set of per-axis edges: the 1-D (lo + hi)/2
 bisection of [-R, R], once per split on that axis.  A point's cell on an
 axis is guessed arithmetically from its coordinate, then corrected by one
 comparison each way against those edges; its leaf index is the OR of one
@@ -96,23 +96,6 @@ class CountTree:
         lo = np.stack([edge[cell] for edge, cell in zip(edges, cells)], axis=-1)
         hi = np.stack([edge[cell + 1] for edge, cell in zip(edges, cells)], axis=-1)
         return lo, hi
-
-    def box(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) bounds of node theta, a sequence of 0/1 bits.
-
-        The node spans its first leaf (theta 0...0) to its last (theta 1...1).
-        """
-        bits = [int(b) for b in theta]
-        if len(bits) > self.depth or any(b not in (0, 1) for b in bits):
-            raise InvalidParameterError(f"invalid node index {theta!r} for depth {self.depth}")
-        below = self.depth - len(bits)
-        first = int("".join(map(str, bits)) or "0", 2) << below
-        lo, hi = self._leaf_bounds([first, first + (1 << below) - 1])
-        return lo[0], hi[1]
-
-    def leaf_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds of all 2^depth leaves, theta-lexicographic, shape (m, d')."""
-        return self._leaf_bounds(np.arange(1 << self.depth))
 
     @property
     def total(self) -> int:

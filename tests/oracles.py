@@ -1,6 +1,9 @@
-"""Brute-force, dense-LP, HiGHS grid-LP, recursive, per-column and
-whole-array oracles the tests check the library against, and a noiseless
-generator for runs whose release equals its input."""
+"""Brute-force, vertex-enumeration, HiGHS dense- and grid-LP, recursive,
+per-column and whole-array oracles the tests check the library against, and
+a noiseless generator for runs whose release equals its input.
+
+The literal projection LP is assembled once, by ``projection_lp``; HiGHS
+and the vertex enumeration both solve that one assembly."""
 
 import itertools
 import math
@@ -12,7 +15,6 @@ from scipy.optimize import linear_sum_assignment, linprog
 from lowdp.metrics import _COLLAPSE_RATIO, _checked_atom_transport, _draw_atoms, ground_distances
 from lowdp.noise import SeededGenerator
 from lowdp.psmm import _grid_graph
-from simplex import solve_dense_lp
 
 
 def wasserstein1_bruteforce(p, q, metric: str = "linf") -> float:
@@ -34,12 +36,11 @@ def anchor_distances(lattice, metric: str = "l1") -> np.ndarray:
     return np.abs(diff).sum(axis=2) if metric == "l1" else np.linalg.norm(diff, axis=2)
 
 
-def bl_projection_lp_dense(nu: np.ndarray, rho: np.ndarray):
-    """The literal projection LP over (mu, gamma, p, q), by the dense simplex.
+def projection_lp(nu: np.ndarray, rho: np.ndarray):
+    """The literal projection LP over x = (mu, gamma, p, q) >= 0, as (cost, a_eq, b_eq).
 
     min sum rho_ij gamma_ij + sum (p_i + q_i) subject to, at every anchor i,
     mu_i + sum_j (gamma_ij - gamma_ji) + p_i - q_i = nu_i and sum mu = 1.
-    Returns (mu, objective).
     """
     m = nu.shape[0]
     n_gamma = m * m
@@ -56,8 +57,33 @@ def bl_projection_lp_dense(nu: np.ndarray, rho: np.ndarray):
         a_eq[i, m + n_gamma + m + i] = -1.0                # q_i
     a_eq[m, :m] = 1.0
     b_eq = np.concatenate([nu, [1.0]])
-    x, objective = solve_dense_lp(cost, a_eq, b_eq)
-    return x[:m], objective
+    return cost, a_eq, b_eq
+
+
+def bl_projection_lp_dense(nu: np.ndarray, rho: np.ndarray):
+    """The literal projection LP, dense, by HiGHS.  Returns (mu, objective)."""
+    cost, a_eq, b_eq = projection_lp(nu, rho)
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.x[: nu.shape[0]], float(res.fun)
+
+
+def projection_lp_by_vertex_enumeration(nu: np.ndarray, rho: np.ndarray) -> float:
+    """The literal projection LP's optimum over every basic feasible solution.
+
+    Solves all (m + 1)-column bases at once, so it is for m <= 4 anchors.
+    """
+    cost, a, b = projection_lp(nu, rho)
+    rows = a.shape[0]
+    combos = np.array(list(itertools.combinations(range(a.shape[1]), rows)))
+    bases = np.moveaxis(a[:, combos], 1, 0)  # (n_combos, m + 1, m + 1)
+    ok = np.abs(np.linalg.det(bases)) > 1e-9
+    solutions = np.full((combos.shape[0], rows), np.nan)
+    rhs = np.broadcast_to(b, (int(ok.sum()), rows))[..., None]
+    solutions[ok] = np.linalg.solve(bases[ok], rhs)[..., 0]
+    feasible = ok & (np.nan_to_num(solutions, nan=-1.0) >= -1e-9).all(axis=1)
+    objectives = np.einsum("ij,ij->i", cost[combos[feasible]], solutions[feasible])
+    return float(objectives.min())
 
 
 def bl_projection_grid_lp(noisy_counts, n, lattice):
@@ -91,20 +117,6 @@ def bl_projection_grid_lp(noisy_counts, n, lattice):
     total = keep.sum()
     mu = keep * (1.0 + res.x[-1] / total) if total > 0 else np.ones(m)
     return mu / mu.sum(), float(res.fun)
-
-
-def box_by_recursion(tree, theta):
-    """(lo, hi) of node theta by the n-D midpoint recursion, one level at a time."""
-    lo = np.full(tree.d_prime, -tree.radius)
-    hi = np.full(tree.d_prime, tree.radius)
-    for level, bit in enumerate(int(b) for b in theta):
-        axis = level % tree.d_prime
-        mid = (lo[axis] + hi[axis]) / 2.0
-        if bit:
-            lo[axis] = mid
-        else:
-            hi[axis] = mid
-    return lo, hi
 
 
 def leaf_boxes_by_recursion(tree):
@@ -173,7 +185,7 @@ class NoiselessGenerator(SeededGenerator):
 
 def leaf_centers(tree):
     """Each leaf's consistent count of copies of its center, d' x m, leaves in theta order."""
-    lo, hi = tree.leaf_boxes()
+    lo, hi = tree._leaf_bounds(np.arange(1 << tree.depth))
     return np.repeat((lo + hi) / 2.0, tree.consistent[tree.depth], axis=0).T
 
 

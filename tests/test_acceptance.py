@@ -5,7 +5,6 @@ scaling experiments (criteria 1 and 2) are the slow ones; everything else
 runs in seconds.
 """
 
-import itertools
 import json
 import sys
 
@@ -13,8 +12,8 @@ import numpy as np
 import pytest
 
 from lowdp.audit import audit_mechanism
+from lowdp.cli import _fit_slope, write_points_csv
 from lowdp.cli import main as cli_main
-from lowdp.cli import write_points_csv
 from lowdp.metrics import projection_diagnostics, wasserstein1, wasserstein1_sampled
 from lowdp.noise import SeededGenerator, sample_symmetric_laplace_matrix
 from lowdp.pca import centered_covariance
@@ -22,7 +21,13 @@ from lowdp.pipeline import PipelineConfig, generate
 from lowdp.planted import planted_subspace_dataset
 from lowdp.pmm import build_partition, depth_and_scales, enforce_consistency, max_leaf_side, noisy_counts, run_pmm
 from lowdp.psmm import Lattice, project_to_probability
-from oracles import NoiselessGenerator, anchor_distances, leaf_centers, wasserstein1_bruteforce
+from oracles import (
+    NoiselessGenerator,
+    anchor_distances,
+    leaf_centers,
+    projection_lp_by_vertex_enumeration,
+    wasserstein1_bruteforce,
+)
 
 
 def _report(number, passed, detail):
@@ -60,18 +65,13 @@ def _planted_trial_w1(n, d, d_prime, subroutine, trial, **cfg_kw):
     return stage, end
 
 
-def _fit_slope(curve):
-    xs = np.log([n for n, _ in curve])
-    ys = np.log([w for _, w in curve])
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 def _scaling_experiment(sizes, trials, d, d_prime, subroutine, **cfg_kw):
     stage_curve, end_curve = [], []
     for n in sizes:
         pairs = [_planted_trial_w1(n, d, d_prime, subroutine, t, **cfg_kw) for t in range(trials)]
         stage_curve.append((n, float(np.mean([p[0] for p in pairs]))))
         end_curve.append((n, float(np.mean([p[1] for p in pairs]))))
+    # eps = 1, so these (n, W1) points are the sweep's (eps n, W1) points
     return _fit_slope(stage_curve), _fit_slope(end_curve), stage_curve
 
 
@@ -172,36 +172,6 @@ def test_criterion_5_w1_flow_equals_bruteforce():
     assert _report(5, worst <= 1e-12, f"max |flow - permutation oracle| = {worst:.2e}")
 
 
-def _bfs_enumeration_objective(nu, rho):
-    """Exhaustive vertex enumeration of the full projection LP (oracle)."""
-    m = nu.size
-    n_gamma = m * m
-    n_vars = m + n_gamma + 2 * m
-    cost = np.zeros(n_vars)
-    cost[m : m + n_gamma] = rho.ravel()
-    cost[m + n_gamma :] = 1.0
-    a = np.zeros((m + 1, n_vars))
-    for i in range(m):
-        a[i, i] = 1.0
-        a[i, m + i * m : m + (i + 1) * m] += 1.0
-        a[i, m + i : m + n_gamma : m] -= 1.0
-        a[i, m + n_gamma + i] = 1.0
-        a[i, m + n_gamma + m + i] = -1.0
-    a[m, :m] = 1.0
-    b = np.concatenate([nu, [1.0]])
-    combos = np.array(list(itertools.combinations(range(n_vars), m + 1)))
-    bases = a[:, combos]  # (m+1, n_combos, m+1)
-    bases = np.moveaxis(bases, 1, 0)
-    dets = np.abs(np.linalg.det(bases))
-    ok = dets > 1e-9
-    solutions = np.full((combos.shape[0], m + 1), np.nan)
-    rhs = np.broadcast_to(b, (int(ok.sum()), m + 1))[..., None]
-    solutions[ok] = np.linalg.solve(bases[ok], rhs)[..., 0]
-    feasible = ok & (np.nan_to_num(solutions, nan=-1.0) >= -1e-9).all(axis=1)
-    objectives = np.einsum("ij,ij->i", cost[combos[feasible]], solutions[feasible])
-    return float(objectives.min())
-
-
 def test_criterion_6_lp_projection_optimality():
     """50 random signed measures on <= 4 anchors: LP objective matches the
     brute-force oracle (l1 anchor distances) to 1e-7, output is a
@@ -219,7 +189,7 @@ def test_criterion_6_lp_projection_optimality():
         lattice = Lattice(delta=0.7, radius=2.2, d_prime=d_prime, int_coords=ints)
         nu = np.round(rng.normal(0.3, 0.6, m), 3)
         mu, objective = project_to_probability(np.rint(nu * 1000).astype(np.int64), 1000, lattice)
-        oracle = _bfs_enumeration_objective(nu, anchor_distances(lattice))
+        oracle = projection_lp_by_vertex_enumeration(nu, anchor_distances(lattice))
         worst_gap = max(worst_gap, abs(objective - oracle))
         all_ok &= (mu >= -1e-9).all()
         all_ok &= abs(mu.sum() - 1.0) <= 1e-9

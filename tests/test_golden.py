@@ -76,7 +76,7 @@ def _run_tree(name):
     depth, _ = depth_and_scales(epsilon, n, d_prime)
     tree = noisy_counts(build_partition(radius, d_prime, depth), coords, epsilon, SeededGenerator(seed))
     counts = enforce_consistency(tree).consistent[depth]
-    lo, hi = tree.leaf_boxes()
+    lo, hi = tree._leaf_bounds(np.arange(1 << depth))
     # run_pmm emits each leaf's consistent count of points inside that leaf, leaf by leaf
     assert points.shape == (d_prime, counts.sum())
     assert (np.repeat(lo, counts, axis=0) <= points.T).all() and (points.T <= np.repeat(hi, counts, axis=0)).all()

@@ -51,6 +51,18 @@ def test_config_keeps_whole_number_d_prime():
     assert PipelineConfig(epsilon=1.0, d_prime=3.0).d_prime == 3
 
 
+@pytest.mark.parametrize("m_target", [2.5, True, False, "7", 0, -3, float("nan"), float("inf")])
+def test_config_rejects_non_integral_m_target(m_target):
+    with pytest.raises(InvalidParameterError, match="m_target"):
+        PipelineConfig(epsilon=1.0, d_prime=3, subroutine="psmm", m_target=m_target)
+
+
+def test_config_keeps_whole_number_m_target():
+    config = PipelineConfig(epsilon=1.0, d_prime=3, subroutine="psmm", m_target=7.0)
+    assert config.m_target == 7 and type(config.m_target) is int
+    assert PipelineConfig(epsilon=1.0).m_target is None
+
+
 def test_stage_fractions_sum_to_one_exactly():
     for split in ("three", "four"):
         fracs = PipelineConfig(epsilon=1.0, budget_split=split).stage_fractions()

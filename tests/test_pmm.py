@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NoiselessGenerator, box_by_recursion, classify_by_recursion, leaf_boxes_by_recursion, leaf_centers
+from oracles import NoiselessGenerator, classify_by_recursion, leaf_boxes_by_recursion, leaf_centers
 
 from lowdp.errors import InvalidParameterError, InvalidRegimeError, OutOfDomainError, SizeOverflowError
 from lowdp.metrics import wasserstein1
@@ -61,15 +61,14 @@ def test_over_deep_tree_refused_before_allocation(epsilon, n):
 
 def test_partition_depth_zero_single_leaf():
     tree = build_partition(1.0, 2, 0)
-    lo, hi = tree.box("")
+    lo, hi = tree._leaf_bounds(np.arange(1))
+    assert lo.shape == (1, 2)
     assert (lo == [-1.0, -1.0]).all() and (hi == [1.0, 1.0]).all()
-    lo_all, hi_all = tree.leaf_boxes()
-    assert lo_all.shape == (1, 2)
 
 
 def test_partition_two_levels_quadrants():
     tree = build_partition(1.0, 2, 2)
-    lo, hi = tree.leaf_boxes()
+    lo, hi = tree._leaf_bounds(np.arange(1 << tree.depth))
     assert lo.shape == (4, 2)
     sides = hi - lo
     assert np.allclose(sides, 1.0)  # four R x R quadrants of [-R, R]^2
@@ -80,14 +79,14 @@ def test_partition_two_levels_quadrants():
 
 def test_partition_one_dimension_eighths():
     tree = build_partition(1.0, 1, 3)
-    lo, hi = tree.leaf_boxes()
+    lo, hi = tree._leaf_bounds(np.arange(1 << tree.depth))
     assert lo.shape == (8, 1)
     assert np.allclose(hi - lo, 0.25)
 
 
 def test_partition_covers_every_point_exactly_once():
     tree = build_partition(1.5, 2, 4)
-    lo, hi = tree.leaf_boxes()
+    lo, hi = tree._leaf_bounds(np.arange(1 << tree.depth))
     rng = np.random.default_rng(0)
     pts = np.concatenate(
         [rng.uniform(-1.5, 1.5, (2, 200)), lo.T, hi.T - 1e-12], axis=1
@@ -223,7 +222,7 @@ def test_sampling_single_leaf_membership():
     tree = enforce_consistency(tree)
     out = sample_synthetic(tree, SeededGenerator(10))
     assert out.shape == (2, 3)
-    lo, hi = tree.leaf_boxes()
+    lo, hi = tree._leaf_bounds(np.arange(1 << tree.depth))
     assert (out.T >= lo[0]).all() and (out.T <= hi[0]).all()
 
 
@@ -233,7 +232,7 @@ def test_sampling_matches_all_leaf_boxes_on_a_sparse_tree():
     tree = enforce_consistency(noisy_counts(build_partition(1.0, 2, 12), coords, 1.0, NoiselessGenerator(14)))
     counts = tree.consistent[tree.depth]
     assert np.count_nonzero(counts) <= 300 < counts.size // 10
-    lo, hi = tree.leaf_boxes()
+    lo, hi = tree._leaf_bounds(np.arange(1 << tree.depth))
     lo_rep, hi_rep = np.repeat(lo, counts, axis=0), np.repeat(hi, counts, axis=0)
     u = SeededGenerator(15).split("sample").random((int(counts.sum()), 2))
     expected = (lo_rep + u * (hi_rep - lo_rep)).T
@@ -295,16 +294,11 @@ def _edge_and_face_points(tree, lo, hi, rng):
 def test_cell_geometry_matches_midpoint_recursion_bitwise():
     for tree, rng in _random_trees(300, 40):
         lo, hi = leaf_boxes_by_recursion(tree)
-        got_lo, got_hi = tree.leaf_boxes()
+        got_lo, got_hi = tree._leaf_bounds(np.arange(1 << tree.depth))
         assert got_lo.tobytes() == lo.tobytes() and got_hi.tobytes() == hi.tobytes()
         assert max_leaf_side(tree) == float((hi - lo).max())
         coords = _edge_and_face_points(tree, lo, hi, rng)
         assert np.array_equal(_classify(tree, coords), classify_by_recursion(tree, coords))
-        for length in rng.integers(0, tree.depth + 1, size=5):
-            theta = rng.integers(0, 2, size=length).tolist()
-            want_lo, want_hi = box_by_recursion(tree, theta)
-            got_lo, got_hi = tree.box(theta)
-            assert got_lo.tobytes() == want_lo.tobytes() and got_hi.tobytes() == want_hi.tobytes()
     # classification alone at the deepest allowed tree, on sampled edges: R = 4.7
     # makes the bisection edges round away from -R + k 2R/K
     rng = np.random.default_rng(41)

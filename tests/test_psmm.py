@@ -1,11 +1,9 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
-from oracles import NoiselessGenerator
 
 from lowdp.errors import (
     InvalidParameterError,
@@ -28,7 +26,13 @@ from lowdp.psmm import (
     _grid_graph,
     _saving_steps,
 )
-from oracles import anchor_distances, bl_projection_grid_lp, bl_projection_lp_dense
+from oracles import (
+    NoiselessGenerator,
+    anchor_distances,
+    bl_projection_grid_lp,
+    bl_projection_lp_dense,
+    projection_lp_by_vertex_enumeration,
+)
 
 
 def test_delta_formula_values():
@@ -124,14 +128,6 @@ def _project(nu, lattice):
     return project_to_probability(np.rint(np.asarray(nu) * 1000).astype(np.int64), 1000, lattice)
 
 
-def _simplex_grid(m, step):
-    ticks = np.arange(0, step + 1)
-    for combo in itertools.product(ticks, repeat=m - 1):
-        if sum(combo) <= step:
-            rest = step - sum(combo)
-            yield np.array(combo + (rest,)) / step
-
-
 def _bl_distance_oracle(nu, mu, rho):
     """d_BL via its dual LP: max f (nu - mu), |f| <= 1, |f_i - f_j| <= rho_ij."""
     from scipy.optimize import linprog
@@ -157,37 +153,6 @@ def _bl_distance_oracle(nu, mu, rho):
     )
     assert res.status == 0
     return -res.fun
-
-
-def _enumerate_vertices_objective(nu, rho):
-    """Exhaustive basic-feasible-solution oracle for the full projection LP."""
-    m = nu.size
-    n_gamma = m * m
-    n_vars = m + n_gamma + 2 * m
-    cost = np.zeros(n_vars)
-    cost[m : m + n_gamma] = rho.ravel()
-    cost[m + n_gamma :] = 1.0
-    a = np.zeros((m + 1, n_vars))
-    for i in range(m):
-        a[i, i] = 1.0
-        a[i, m + i * m : m + (i + 1) * m] += 1.0
-        a[i, m + i : m + n_gamma : m] -= 1.0
-        a[i, m + n_gamma + i] = 1.0
-        a[i, m + n_gamma + m + i] = -1.0
-    a[m, :m] = 1.0
-    b = np.concatenate([nu, [1.0]])
-    best = np.inf
-    cols = list(itertools.combinations(range(n_vars), m + 1))
-    idx = np.array(cols)
-    bases = a[:, idx.T].transpose(1, 0, 2) if False else np.stack([a[:, list(c)] for c in cols])
-    dets = np.abs(np.linalg.det(bases))
-    for basis_cols, mat, det in zip(cols, bases, dets):
-        if det < 1e-10:
-            continue
-        x_b = np.linalg.solve(mat, b)
-        if (x_b >= -1e-9).all():
-            best = min(best, cost[list(basis_cols)] @ x_b)
-    return best
 
 
 def test_projection_identity_when_already_probability():
@@ -220,41 +185,31 @@ def test_projection_objective_matches_bfs_enumeration_oracle():
         lat = Lattice(delta=0.8, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.3, 0.5, m), 2)
         _, obj = _project(nu, lat)
-        oracle = _enumerate_vertices_objective(nu, anchor_distances(lat))
-        assert obj == pytest.approx(oracle, abs=1e-7)
-
-
-def test_projection_objective_matches_grid_plus_dual_oracle():
-    rng = np.random.default_rng(4)
-    cand = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij"), -1).reshape(-1, 2)
-    for trial in range(4):
-        m = 3
-        ints = cand[rng.choice(cand.shape[0], m, replace=False)]
-        lat = Lattice(delta=0.6, radius=2.0, d_prime=2, int_coords=ints)
-        nu = np.round(rng.normal(0.3, 0.4, m), 2)
         rho = anchor_distances(lat)
-        _, obj = _project(nu, lat)
-        oracle = min(
-            _bl_distance_oracle(nu, mu, rho) for mu in _simplex_grid(m, 40)
-        )
-        assert obj <= oracle + 1e-9
-        assert obj >= oracle - 0.1  # grid resolution bound
+        oracle = projection_lp_by_vertex_enumeration(nu, rho)
+        assert obj == pytest.approx(oracle, abs=1e-7)
+        assert bl_projection_lp_dense(nu, rho)[1] == pytest.approx(oracle, abs=1e-9)
+
+
+def _dense_lp_instances():
+    """(nu, lattice) pairs on a 5 x 5 grid: 20 with 2-7 anchors and 3-decimal nu,
+    then 4 with 3 anchors and 2-decimal nu."""
+    cand = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij"), -1).reshape(-1, 2)
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        m = int(rng.integers(2, 8))
+        ints = cand[rng.choice(cand.shape[0], m, replace=False)]
+        yield np.round(rng.normal(0.2, 0.5, m), 3), Lattice(delta=0.6, radius=2.0, d_prime=2, int_coords=ints)
+    rng = np.random.default_rng(4)
+    for trial in range(4):
+        ints = cand[rng.choice(cand.shape[0], 3, replace=False)]
+        yield np.round(rng.normal(0.3, 0.4, 3), 2), Lattice(delta=0.6, radius=2.0, d_prime=2, int_coords=ints)
 
 
 def test_projection_flow_agrees_with_simplex():
     # the grid-graph flow phases against the literal LP with l1 costs
-    # (dense simplex); mu attains the objective
-    rng = np.random.default_rng(5)
-    for trial in range(20):
-        m = int(rng.integers(2, 8))
-        cand = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij"), -1).reshape(-1, 2)
-        lat = Lattice(
-            delta=0.6,
-            radius=2.0,
-            d_prime=2,
-            int_coords=cand[rng.choice(cand.shape[0], m, replace=False)],
-        )
-        nu = np.round(rng.normal(0.2, 0.5, m), 3)
+    # (dense, by HiGHS); mu attains the objective
+    for nu, lat in _dense_lp_instances():
         rho = anchor_distances(lat)
         _, o1 = bl_projection_lp_dense(nu, rho)
         mu, o2 = _project(nu, lat)
