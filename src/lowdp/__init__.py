@@ -46,7 +46,7 @@ from .pca import (
     select_dimension,
     top_eigenvectors,
 )
-from .pipeline import PipelineConfig, SyntheticDataset, clamp, generate
+from .pipeline import PipelineConfig, SyntheticDataset, generate
 from .planted import planted_subspace_dataset
 
 __version__ = "0.1.0"
@@ -72,7 +72,6 @@ __all__ = [
     "SyntheticDataset",
     "TransportResult",
     "centered_covariance",
-    "clamp",
     "generate",
     "laplace_inverse_cdf",
     "noisy_projection",

@@ -2,6 +2,8 @@
 
 Subcommands read input files and write machine-readable outputs (CSV for
 point sets, JSON for records and summaries); the human log goes to stderr.
+``sweep`` and the acceptance suite's scaling criteria share one planted
+trial (``_planted_trial``) and one summary of its rows (``_summarize``).
 Exit codes: 0 success, 2 input or config validation failure (every library
 error but a solver failure), 3 runtime failure (a solver failure or an
 unexpected exception).
@@ -36,15 +38,29 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
+# the stage term of a planted trial is always sampled l2 W1 at k = min(STAGE_K, n, m)
+STAGE_K = 2048
+STAGE_REPEATS = 2
+
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _parses(cell: str) -> bool:
+    """Whether a CSV cell reads as a float."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest(path, *, rescale: bool = False):
     """Load a CSV of one point per row into a Dataset.
 
-    Values must be numeric and, unless ``rescale`` is set, already in [0, 1];
+    The first row is a header when none of its cells is a number.  Values
+    must be numeric, finite and, unless ``rescale`` is set, already in [0, 1];
     with ``rescale`` each column is min-max mapped onto [0, 1] and the
     per-column ranges are reported so the step is on the preprocessing
     record.  Rows are parsed into float blocks of BLOCK rows, which are
@@ -60,11 +76,8 @@ def ingest(path, *, rescale: bool = False):
         first = next(rows, None)
         if first is None:
             raise IngestError(f"{path}: file contains no data rows")
-        try:
-            [float(cell) for cell in first]
+        if any(map(_parses, first)):  # a header is a row none of whose cells is a number
             rows = itertools.chain([first], rows)
-        except ValueError:
-            pass  # header row
         for n, row in enumerate(rows, 1):
             if n == 1:
                 width = len(row)
@@ -76,16 +89,24 @@ def ingest(path, *, rescale: bool = False):
             try:
                 blocks[-1][slot] = list(map(float, row))
             except ValueError:
-                for j, cell in enumerate(row, 1):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise IngestError(f"{path}: non-numeric cell at row {n}, column {j}: {cell!r}") from None
+                j = next(j for j, cell in enumerate(row, 1) if not _parses(cell))
+                raise IngestError(f"{path}: non-numeric cell at row {n}, column {j}: {row[j - 1]!r}") from None
     if n == 0:
         raise IngestError(f"{path}: file contains a header but no data rows")
     values = np.empty((width, n))
     for start, block in zip(range(0, n, BLOCK), blocks):
         values[:, start : start + BLOCK] = block[: n - start].T
+    for start in range(0, n, BLOCK):
+        block = values[:, start : start + BLOCK]
+        bad = ~np.isfinite(block)
+        if not rescale:
+            bad |= (block < 0.0) | (block > 1.0)
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=0))[0])
+            j = int(np.flatnonzero(bad[:, i])[0])
+            value = float(block[j, i])
+            problem = "is outside [0, 1]; pass --rescale to min-max normalize" if np.isfinite(value) else "is not finite"
+            raise IngestError(f"{path}: value {value!r} at row {start + i + 1}, column {j + 1} {problem}")
     info = {"rescale": bool(rescale), "columns": None}
     if rescale:
         lo = values.min(axis=1)
@@ -97,17 +118,6 @@ def ingest(path, *, rescale: bool = False):
         values /= span[:, None]
         values[flat] = 0.5  # constant columns carry no information
         info["columns"] = [{"min": float(a), "max": float(b)} for a, b in zip(lo, hi)]
-    else:
-        for start in range(0, n, BLOCK):
-            block = values[:, start : start + BLOCK]
-            bad = (block < 0.0) | (block > 1.0)
-            if bad.any():
-                i = int(np.flatnonzero(bad.any(axis=0))[0])
-                j = int(np.flatnonzero(bad[:, i])[0])
-                raise IngestError(
-                    f"{path}: value {float(block[j, i])!r} at row {start + i + 1}, column {j + 1} "
-                    "is outside [0, 1]; pass --rescale to min-max normalize"
-                )
     return Dataset(values), info
 
 
@@ -136,22 +146,16 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def _evaluate_w1(x, y, args, seed):
-    """Exact W1 when the instance fits, else the labeled sampled estimator.
-
-    Reads the shared evaluation flags (--metric, --eval-max-cells, --eval-k,
-    --eval-repeats) from args.
-    """
+def _evaluate_w1(x, y, gen, metric, k, repeats, max_cells):
+    """Exact W1 when the instance fits in max_cells, else the labeled sampled
+    estimator, drawing from gen with k = min(k, sizes) and the given repeats."""
     if y.shape[1] == 0:
         return None, "empty"
     try:
-        value = wasserstein1(x, y, args.metric, max_cells=args.eval_max_cells)
-        return float(value), "exact"
+        return float(wasserstein1(x, y, metric, max_cells=max_cells)), "exact"
     except SizeOverflowError:
-        gen = SeededGenerator(seed).split("w1-estimate")
-        k = min(args.eval_k, x.shape[1], y.shape[1])
-        value = wasserstein1_sampled(x, y, gen, args.metric, k=k, repeats=args.eval_repeats)
-        return float(value), "sampled"
+        k = min(k, x.shape[1], y.shape[1])
+        return float(wasserstein1_sampled(x, y, gen, metric, k=k, repeats=repeats)), "sampled"
 
 
 def _config_from_args(args, epsilon, seed, m_target=None) -> PipelineConfig:
@@ -192,11 +196,12 @@ def cmd_generate(args) -> int:
         "w1_estimator": None,
     }
     if args.evaluate:
-        value, estimator = _evaluate_w1(dataset.points, result.points, args, derive_seed(config.seed, "evaluate"))
+        gen = SeededGenerator(derive_seed(config.seed, "evaluate")).split("w1-estimate")
+        value, estimator = _evaluate_w1(dataset.points, result.points, gen, *_eval_values(args))
         record["w1"] = value
         record["w1_estimator"] = estimator
         if estimator == "exact":
-            record["w2"] = float(wasserstein2(dataset.points, result.points, "l2"))
+            record["w2"] = float(wasserstein2(dataset.points, result.points, "l2", max_cells=args.eval_max_cells))
     _write_json(out_dir / "run_record.json", record)
     if result.provenance["warning"]:
         _log(f"warning: {result.provenance['warning']}")
@@ -207,7 +212,8 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     original, _ = ingest(args.input, rescale=args.rescale)
     synthetic, _ = ingest(args.synthetic, rescale=False)
-    value, estimator = _evaluate_w1(original.points, synthetic.points, args, args.seed)
+    gen = SeededGenerator(args.seed).split("w1-estimate")
+    value, estimator = _evaluate_w1(original.points, synthetic.points, gen, *_eval_values(args))
     report = {
         "record": "evaluation",
         "input": str(args.input),
@@ -218,30 +224,37 @@ def cmd_evaluate(args) -> int:
         "w2": None,
     }
     if args.w2 and estimator == "exact":
-        report["w2"] = float(wasserstein2(original.points, synthetic.points, "l2"))
+        report["w2"] = float(wasserstein2(original.points, synthetic.points, "l2", max_cells=args.eval_max_cells))
     _write_json(args.out, report)
     _log(f"W1 ({estimator}) = {value}")
     return EXIT_OK
 
 
-def _sweep_trial(task):
-    (n, epsilon, trial, args) = task
-    data_seed = derive_seed(args.seed, "data", n, epsilon, trial)
-    run_seed = derive_seed(args.seed, "run", n, epsilon, trial)
-    data, _ = planted_subspace_dataset(n, args.dim, args.planted_dprime, SeededGenerator(data_seed))
-    config = _config_from_args(args, epsilon, run_seed)
+def _planted_trial(n, d, planted_dprime, config, data_gen, stage_gen, end_gen, metric, k, repeats, max_cells):
+    """Run ``generate`` on n planted points and return the trial's row.
+
+    stage_w1, the term the (eps n)^(-1/d') rate governs, is the sampled l2 W1
+    from the projected input coordinates to the subroutine's output ones; w1
+    is ``_evaluate_w1`` from input to output.  An empty release has neither.
+    """
+    data, _ = planted_subspace_dataset(n, d, planted_dprime, data_gen)
     t0 = time.perf_counter()
-    result = generate(data, config)
+    result = generate(data, config, keep_intermediates=True)
     gen_seconds = time.perf_counter() - t0
-    w1, estimator = _evaluate_w1(data.points, result.points, args, derive_seed(args.seed, "eval", n, epsilon, trial))
+    stage_w1 = None
+    if result.size:
+        coords_in, coords_out = result.intermediates["projected"].coords, result.intermediates["coords_out"]
+        k_stage = min(STAGE_K, n, result.size)
+        stage_w1 = float(wasserstein1_sampled(coords_in, coords_out, stage_gen, "l2", k=k_stage, repeats=STAGE_REPEATS))
+    w1, estimator = _evaluate_w1(data.points, result.points, end_gen, metric, k, repeats, max_cells)
     return {
         "n": n,
-        "epsilon": epsilon,
-        "trial": trial,
-        "seed": run_seed,
+        "epsilon": config.epsilon,
+        "seed": config.seed,
         "d_prime": result.provenance["d_prime"],
         "subroutine": result.provenance["subroutine"],
         "m": result.size,
+        "stage_w1": stage_w1,
         "w1": w1,
         "w1_estimator": estimator,
         "generate_seconds": round(gen_seconds, 3),
@@ -255,6 +268,35 @@ def _fit_slope(points):
     if xs.size < 2:
         return None
     return float(np.polyfit(xs, ys, 1)[0])
+
+
+def _summarize(rows):
+    """Mean end-to-end and stage W1 per (d', eps, n), and per d' the log-log
+    slopes of both against eps n.  Rows of an empty release are left out."""
+    groups, curves = {}, {}
+    for row in rows:
+        if row["w1"] is not None:
+            groups.setdefault((row["d_prime"], row["epsilon"], row["n"]), []).append(row)
+    summary = {"groups": {}, "slopes": {}, "stage_slopes": {}}
+    for (dp, epsilon, n), members in sorted(groups.items()):
+        means = {f"mean_{term}": float(np.mean([row[term] for row in members])) for term in ("w1", "stage_w1")}
+        summary["groups"][f"d_prime={dp},epsilon={epsilon},n={n}"] = {**means, "trials": len(members)}
+        curves.setdefault(dp, []).append((epsilon * n, means))
+    for dp, curve in curves.items():
+        for key, term in (("slopes", "mean_w1"), ("stage_slopes", "mean_stage_w1")):
+            summary[key][str(dp)] = _fit_slope([(x, means[term]) for x, means in curve])
+    return summary
+
+
+def _sweep_trial(task):
+    (n, epsilon, trial, args) = task
+    seeds = {label: derive_seed(args.seed, label, n, epsilon, trial) for label in ("data", "run", "stage", "eval")}
+    row = _planted_trial(
+        n, args.dim, args.planted_dprime, _config_from_args(args, epsilon, seeds["run"]),
+        SeededGenerator(seeds["data"]), SeededGenerator(seeds["stage"]),
+        SeededGenerator(seeds["eval"]).split("w1-estimate"), *_eval_values(args),
+    )
+    return {"trial": trial, **row}
 
 
 def cmd_sweep(args) -> int:
@@ -272,34 +314,17 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = [
         "d_prime", "epsilon", "n", "trial", "seed", "subroutine",
-        "m", "w1", "w1_estimator", "generate_seconds",
+        "m", "w1", "w1_estimator", "stage_w1", "generate_seconds",
     ]
     with (out_dir / "results.csv").open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({key: row[key] for key in columns})
+        writer.writerows(rows)
 
-    groups = {}
-    for row in rows:
-        if row["w1"] is None:
-            continue
-        key = (row["d_prime"], row["epsilon"], row["n"])
-        groups.setdefault(key, []).append(row["w1"])
-    summary = {"record": "sweep-summary", "groups": {}, "slopes": {}}
-    by_dprime = {}
-    for (dp, epsilon, n), values in sorted(groups.items()):
-        mean_w1 = float(np.mean(values))
-        summary["groups"][f"d_prime={dp},epsilon={epsilon},n={n}"] = {
-            "mean_w1": mean_w1,
-            "trials": len(values),
-        }
-        by_dprime.setdefault(dp, []).append((epsilon * n, mean_w1))
-    for dp, points in by_dprime.items():
-        summary["slopes"][str(dp)] = _fit_slope(points)
-    _write_json(out_dir / "summary.json", summary)
+    summary = _summarize(rows)
+    _write_json(out_dir / "summary.json", {"record": "sweep-summary", **summary})
     for dp, slope in summary["slopes"].items():
-        _log(f"d'={dp}: fitted log-log slope {slope}")
+        _log(f"d'={dp}: fitted log-log slope {slope} (stage {summary['stage_slopes'][dp]})")
     return EXIT_OK
 
 
@@ -330,6 +355,11 @@ def _positive_int(text: str) -> int:
 def _dimension(text: str):
     """The --dprime value: 'auto' or a positive integer."""
     return text if text == "auto" else _positive_int(text)
+
+
+def _eval_values(args):
+    """The shared evaluation flags in ``_evaluate_w1``'s order: metric, k, repeats, max_cells."""
+    return args.metric, args.eval_k, args.eval_repeats, args.eval_max_cells
 
 
 def _add_eval_options(parser):

@@ -25,7 +25,7 @@ from .pca import BLOCK, Dataset, noisy_projection, private_covariance, select_di
 from .pmm import run_pmm
 from .psmm import DELTA_MODES, run_psmm
 
-__all__ = ["BUDGET_SPLITS", "SUBROUTINES", "PipelineConfig", "SyntheticDataset", "clamp", "generate"]
+__all__ = ["BUDGET_SPLITS", "SUBROUTINES", "PipelineConfig", "SyntheticDataset", "generate"]
 
 SUBROUTINES = ("pmm", "psmm", "auto")
 
@@ -103,11 +103,6 @@ class SyntheticDataset:
     @property
     def size(self) -> int:
         return self.points.shape[1]
-
-
-def clamp(points: np.ndarray) -> np.ndarray:
-    """Coordinatewise metric projection onto [0, 1]: the nearest cube point."""
-    return np.clip(np.asarray(points, dtype=np.float64), 0.0, 1.0)
 
 
 def _on_subspace(points: np.ndarray, center: np.ndarray, basis: np.ndarray) -> bool:

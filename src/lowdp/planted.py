@@ -1,9 +1,9 @@
 """Synthetic benchmark data: points planted on a random affine subspace.
 
-Used by the scaling experiments and the demos: the points lie exactly on a
-random d'-dimensional affine patch through the cube center, so the tail of
-the covariance spectrum is exactly zero and the accuracy of a run is driven
-by the private mechanism alone.
+Drawn by ``lowdp.cli._planted_trial`` (``lowdp sweep`` and criteria 1-2)
+and the demos: the points lie exactly on a random d'-dimensional affine
+patch through the cube center, so the covariance tail is exactly zero and
+the accuracy of a run is driven by the private mechanism alone.
 """
 
 from __future__ import annotations

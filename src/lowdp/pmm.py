@@ -97,13 +97,6 @@ class CountTree:
         hi = np.stack([edge[cell + 1] for edge, cell in zip(edges, cells)], axis=-1)
         return lo, hi
 
-    @property
-    def total(self) -> int:
-        """Root consistent count (the output size m)."""
-        if self.consistent is None:
-            raise InvalidParameterError("consistency has not been enforced yet")
-        return int(self.consistent[0][0])
-
 
 def build_partition(radius: float, d_prime: int, depth: int) -> CountTree:
     """Binary hierarchical partition of [-R, R]^d' of the given depth.

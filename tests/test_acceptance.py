@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from lowdp.audit import audit_mechanism
-from lowdp.cli import _fit_slope, write_points_csv
+from lowdp.cli import _planted_trial, _summarize, write_points_csv
 from lowdp.cli import main as cli_main
-from lowdp.metrics import projection_diagnostics, wasserstein1, wasserstein1_sampled
+from lowdp.metrics import projection_diagnostics, wasserstein1
 from lowdp.noise import SeededGenerator, sample_symmetric_laplace_matrix
 from lowdp.pca import centered_covariance
 from lowdp.pipeline import PipelineConfig, generate
@@ -36,43 +36,23 @@ def _report(number, passed, detail):
     return passed
 
 
-def _planted_trial_w1(n, d, d_prime, subroutine, trial, **cfg_kw):
-    """One protocol trial: returns (mechanism-stage W1, end-to-end W1).
-
-    The stage quantity is the W1 between the projected input coordinates and
-    the synthetic coordinates the subroutine emitted: the term the planted
-    protocol isolates (the planted data has an exactly vanishing covariance
-    tail, so every other error source is the fixed-rate privatization of the
-    mean and covariance).  The end-to-end quantity is the ambient sup-metric
-    W1 between input and output, reported for context.
-    """
-    gen = SeededGenerator(hash((n, trial)) & 0xFFFF)
-    data, _ = planted_subspace_dataset(n, d, d_prime, gen.split("data"))
-    config = PipelineConfig(
-        epsilon=1.0, d_prime=d_prime, subroutine=subroutine, seed=1000 + 7 * trial + n, **cfg_kw
-    )
-    result = generate(data, config, keep_intermediates=True)
-    coords_in = result.intermediates["projected"].coords
-    coords_out = result.intermediates["coords_out"]
-    k_stage = min(2048, n, max(coords_out.shape[1], 1))
-    stage = wasserstein1_sampled(
-        coords_in, coords_out, SeededGenerator(55 + trial), "l2", k=k_stage, repeats=2
-    )
-    k_end = min(1024, n, max(result.size, 1))
-    end = wasserstein1_sampled(
-        data.points, result.points, SeededGenerator(5 + trial), "linf", k=k_end, repeats=2
-    )
-    return stage, end
-
-
 def _scaling_experiment(sizes, trials, d, d_prime, subroutine, **cfg_kw):
-    stage_curve, end_curve = [], []
-    for n in sizes:
-        pairs = [_planted_trial_w1(n, d, d_prime, subroutine, t, **cfg_kw) for t in range(trials)]
-        stage_curve.append((n, float(np.mean([p[0] for p in pairs]))))
-        end_curve.append((n, float(np.mean([p[1] for p in pairs]))))
-    # eps = 1, so these (n, W1) points are the sweep's (eps n, W1) points
-    return _fit_slope(stage_curve), _fit_slope(end_curve), stage_curve
+    """Criteria 1-2's seeds on the sweep's protocol at eps = 1: returns the
+    stage slope, the end-to-end slope (sup-metric, always sampled at k <= 1024)
+    and the stage curve [(n, mean stage W1)]."""
+    rows = [
+        _planted_trial(
+            n, d, d_prime,
+            PipelineConfig(epsilon=1.0, d_prime=d_prime, subroutine=subroutine, seed=1000 + 7 * t + n, **cfg_kw),
+            SeededGenerator(hash((n, t)) & 0xFFFF).split("data"), SeededGenerator(55 + t), SeededGenerator(5 + t),
+            "linf", 1024, 2, max_cells=0,
+        )
+        for n in sizes
+        for t in range(trials)
+    ]
+    summary = _summarize(rows)
+    curve = [(n, group["mean_stage_w1"]) for n, group in zip(sizes, summary["groups"].values())]
+    return summary["stage_slopes"][str(d_prime)], summary["slopes"][str(d_prime)], curve
 
 
 @pytest.mark.slow

@@ -51,6 +51,22 @@ def test_ingest_non_numeric_names_cell(tmp_path):
         ingest(path)
 
 
+def test_ingest_malformed_first_row_is_not_a_header(tmp_path):
+    # a header is a row none of whose cells is a number
+    path = tmp_path / "first.csv"
+    _write_csv(path, [[0.5, "0.x"], [0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(IngestError, match="non-numeric cell at row 1, column 2: '0.x'"):
+        ingest(path)
+
+
+@pytest.mark.parametrize("rescale", [False, True])
+def test_ingest_nan_names_cell(tmp_path, rescale):
+    path = tmp_path / "nan.csv"
+    _write_csv(path, [[0.1, 0.2], [0.3, 0.4], ["nan", 0.5]])
+    with pytest.raises(IngestError, match="value nan at row 3, column 1 is not finite"):
+        ingest(path, rescale=rescale)
+
+
 def test_ingest_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     with open(path, "w") as handle:
@@ -333,6 +349,19 @@ def test_evaluate_command(tmp_path):
     assert report["w2"] is not None
 
 
+def test_evaluate_w2_honours_eval_max_cells(tmp_path):
+    # 2,050^2 cells are over the solver's default limit but within the flag's
+    rng = np.random.default_rng(12)
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "eval.json"
+    write_points_csv(a, rng.random((2, 2050)))
+    write_points_csv(b, rng.random((2, 2050)))
+    flags = ["--input", str(a), "--synthetic", str(b), "--out", str(out), "--w2", "--eval-max-cells", "5000000"]
+    assert main(["evaluate", *flags]) == 0
+    report = json.loads(out.read_text())
+    assert report["w1_estimator"] == "exact"
+    assert report["w2"] >= report["w1"] > 0  # sup-metric W1 <= l2 W1 <= l2 W2
+
+
 def test_sweep_single_point(tmp_path):
     out = tmp_path / "sweep"
     code = main([
@@ -362,8 +391,22 @@ def test_sweep_rows_record_distinct_seeds(tmp_path):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 4
     assert len({row["seed"] for row in rows}) == 4
+    assert all(float(row["stage_w1"]) > 0 for row in rows)
     summary = json.loads((out / "summary.json").read_text())
     assert "2" in summary["slopes"]
+    assert isinstance(summary["stage_slopes"]["2"], float)
+    assert all(group["mean_stage_w1"] > 0 for group in summary["groups"].values())
+
+
+def test_sweep_stage_term_ignores_eval_flags(tmp_path):
+    runs = {"exact": [], "sampled": ["--metric", "l2", "--eval-k", "32", "--eval-max-cells", "1"]}
+    for name, extra in runs.items():
+        flags = ["--dim", "4", "--planted-dprime", "2", "--n-grid", "128", "--trials", "2", "--dprime", "2", *extra]
+        assert main(["sweep", "--out", str(tmp_path / name), "--subroutine", "pmm", *flags]) == 0
+        with (tmp_path / name / "results.csv").open() as handle:
+            runs[name] = list(csv.DictReader(handle))
+        assert [row["w1_estimator"] for row in runs[name]] == [name, name]
+    assert [row["stage_w1"] for row in runs["exact"]] == [row["stage_w1"] for row in runs["sampled"]]
 
 
 def test_sweep_deterministic_wrt_jobs(tmp_path):
@@ -378,6 +421,7 @@ def test_sweep_deterministic_wrt_jobs(tmp_path):
     with (out1 / "results.csv").open() as h1, (out2 / "results.csv").open() as h2:
         rows1 = [{k: v for k, v in row.items() if k != "generate_seconds"} for row in csv.DictReader(h1)]
         rows2 = [{k: v for k, v in row.items() if k != "generate_seconds"} for row in csv.DictReader(h2)]
+    assert all(row["stage_w1"] for row in rows1)
     assert rows1 == rows2
 
 

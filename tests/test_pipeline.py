@@ -10,18 +10,8 @@ from lowdp.errors import InvalidBudgetError, InvalidDimensionError, InvalidParam
 from lowdp.metrics import wasserstein1
 from lowdp.noise import SeededGenerator
 from lowdp.pca import BLOCK
-from lowdp.pipeline import PipelineConfig, clamp, generate
+from lowdp.pipeline import PipelineConfig, generate
 from lowdp.planted import planted_subspace_dataset
-
-
-def test_clamp_componentwise():
-    pts = np.array([[-0.2], [0.5], [1.3]])
-    assert (clamp(pts) == np.array([[0.0], [0.5], [1.0]])).all()
-
-
-def test_clamp_identity_inside_cube():
-    pts = np.random.default_rng(0).random((3, 7))
-    assert (clamp(pts) == pts).all()
 
 
 def test_config_validation():
@@ -127,7 +117,7 @@ def test_in_place_lift_and_clamp_keep_the_intermediates_exact(n, d, config):
     lifted = inter["projected"].basis @ inter["coords_out"]
     assert inter["lifted"].tobytes() == lifted.tobytes()
     assert inter["pre_clamp"].tobytes() == (lifted + inter["add_back_mean"][:, None]).tobytes()
-    assert kept.points.tobytes() == clamp(inter["pre_clamp"]).tobytes()
+    assert kept.points.tobytes() == np.clip(inter["pre_clamp"], 0.0, 1.0).tobytes()
     assert plain.intermediates is None
     assert plain.points.tobytes() == kept.points.tobytes()
     assert plain.provenance == kept.provenance

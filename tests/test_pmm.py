@@ -188,7 +188,7 @@ def test_consistency_holds_at_every_node():
         child = tree.consistent[level + 1]
         assert (parent == child[0::2] + child[1::2]).all()
         assert (child >= 0).all()
-    assert tree.consistent[tree.depth].sum() == tree.total
+    assert tree.consistent[tree.depth].sum() == tree.consistent[0][0]
 
 
 def test_zero_noise_preserves_mass_and_w1_within_leaf_size():
