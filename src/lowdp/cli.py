@@ -28,7 +28,7 @@ from .errors import IngestError, LowdpError, SizeOverflowError, SolverError
 from .metrics import wasserstein1, wasserstein1_sampled, wasserstein2
 from .noise import SeededGenerator
 from .pca import BLOCK, Dataset
-from .pipeline import BUDGET_SPLITS, SUBROUTINES, PipelineConfig, generate
+from .pipeline import SUBROUTINES, PipelineConfig, generate
 from .planted import planted_subspace_dataset
 from .psmm import DELTA_MODES
 
@@ -166,7 +166,6 @@ def _config_from_args(args, epsilon, seed, m_target=None) -> PipelineConfig:
         tau=args.tau,
         subroutine=args.subroutine,
         seed=seed,
-        budget_split=args.budget_split,
         delta_mode=args.delta_mode,
         delta_scale=args.delta_scale,
         m_target=m_target,
@@ -271,16 +270,17 @@ def _fit_slope(points):
 
 
 def _summarize(rows):
-    """Mean end-to-end and stage W1 per (d', eps, n), and per d' the log-log
-    slopes of both against eps n.  Rows of an empty release are left out."""
+    """Mean end-to-end and stage W1 per (d', eps, n), as a list of records in
+    numeric (d', eps, n) order, and per d' the log-log slopes of both against
+    eps n.  Rows of an empty release are left out."""
     groups, curves = {}, {}
     for row in rows:
         if row["w1"] is not None:
             groups.setdefault((row["d_prime"], row["epsilon"], row["n"]), []).append(row)
-    summary = {"groups": {}, "slopes": {}, "stage_slopes": {}}
+    summary = {"groups": [], "slopes": {}, "stage_slopes": {}}
     for (dp, epsilon, n), members in sorted(groups.items()):
         means = {f"mean_{term}": float(np.mean([row[term] for row in members])) for term in ("w1", "stage_w1")}
-        summary["groups"][f"d_prime={dp},epsilon={epsilon},n={n}"] = {**means, "trials": len(members)}
+        summary["groups"].append({"d_prime": dp, "epsilon": epsilon, "n": n, **means, "trials": len(members)})
         curves.setdefault(dp, []).append((epsilon * n, means))
     for dp, curve in curves.items():
         for key, term in (("slopes", "mean_w1"), ("stage_slopes", "mean_stage_w1")):
@@ -395,7 +395,6 @@ def _add_pipeline_options(parser):
     parser.add_argument("--dprime", type=_dimension, default="auto", help="target dimension, or 'auto'")
     parser.add_argument("--tau", type=float, default=0.1, help="spectrum-ratio threshold for auto d'")
     parser.add_argument("--subroutine", choices=SUBROUTINES, default="auto")
-    parser.add_argument("--budget-split", choices=BUDGET_SPLITS, default="three", dest="budget_split")
     parser.add_argument("--delta-mode", choices=DELTA_MODES, default="alg5", dest="delta_mode")
     parser.add_argument("--delta-scale", type=float, default=1.0, dest="delta_scale")
     parser.add_argument("--seed", type=int, default=0)

@@ -88,8 +88,7 @@ class TransportResult:
     """Optimal transport value with its integral plan and dual potentials."""
 
     value: float
-    plan: np.ndarray          # k_p x k_q, in probability-mass units
-    plan_units: np.ndarray    # same plan in scaled integer units
+    plan_units: np.ndarray    # k_p x k_q integral plan; plan_units / mass_scale is probability mass
     mass_scale: int           # lcm of the two sizes: one atom of a size-k set is mass_scale / k units
     potential_p: np.ndarray   # dual potential per P-atom (per unit mass)
     potential_q: np.ndarray   # dual potential per Q-atom
@@ -176,7 +175,6 @@ def _transport(p, q, metric, power, max_cells, detailed):
     flow, total, u, v = _solve_transport(costs, np.full(n, denom // n), np.full(m, denom // m))
     result = TransportResult(
         value=total / denom,
-        plan=flow / denom,
         plan_units=np.rint(flow).astype(np.int64),
         mass_scale=denom,
         potential_p=u,

@@ -66,9 +66,6 @@ class SeededGenerator:
     def random(self, size=None):
         return self._rng.random(size)
 
-    def integers(self, low, high=None, size=None):
-        return self._rng.integers(low, high, size=size)
-
     def choice(self, n, size, replace=True, p=None):
         return self._rng.choice(n, size=size, replace=replace, p=p)
 

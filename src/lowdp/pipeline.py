@@ -3,10 +3,9 @@
 One run composes: private covariance (first budget share), dimension choice
 (free post-processing), noisy projection (second share), a synthetic-measure
 subroutine on the projected coordinates (third share), the lift back to
-ambient coordinates, the private mean add-back, and the coordinatewise clamp
-to [0, 1]^d.  The default three-way split reuses the saved private mean at
-add-back; the four-way split instead spends a fourth share on fresh add-back
-noise.
+ambient coordinates, the add-back of the private mean the projection stage
+already released (no further budget), and the coordinatewise clamp to
+[0, 1]^d.  The three stages that draw noise each get a third of epsilon.
 """
 
 from __future__ import annotations
@@ -20,25 +19,21 @@ import numpy as np
 
 from .errors import InvalidBudgetError, InvalidDimensionError, InvalidParameterError, InvalidRegimeError
 from .metrics import projection_diagnostics
-from .noise import SeededGenerator, sample_laplace
+from .noise import SeededGenerator
+
+# not called here: perfbench/tracing.py wraps ``lowdp.pipeline.sample_laplace``
+# in a span, and the traced benchmark run fails if the attribute is missing
+from .noise import sample_laplace  # noqa: F401
 from .pca import BLOCK, Dataset, noisy_projection, private_covariance, select_dimension
 from .pmm import run_pmm
 from .psmm import DELTA_MODES, run_psmm
 
-__all__ = ["BUDGET_SPLITS", "SUBROUTINES", "PipelineConfig", "SyntheticDataset", "generate"]
+__all__ = ["STAGE_FRACTIONS", "SUBROUTINES", "PipelineConfig", "SyntheticDataset", "generate"]
 
 SUBROUTINES = ("pmm", "psmm", "auto")
 
-_SPLITS = {
-    "three": {"covariance": Fraction(1, 3), "projection": Fraction(1, 3), "subroutine": Fraction(1, 3)},
-    "four": {
-        "covariance": Fraction(1, 4),
-        "projection": Fraction(1, 4),
-        "subroutine": Fraction(1, 4),
-        "add_back": Fraction(1, 4),
-    },
-}
-BUDGET_SPLITS = tuple(_SPLITS)
+# budget share per noise-drawing stage; exact rationals that sum to one
+STAGE_FRACTIONS = {"covariance": Fraction(1, 3), "projection": Fraction(1, 3), "subroutine": Fraction(1, 3)}
 
 
 def _whole_at_least_one(value) -> bool:
@@ -60,7 +55,6 @@ class PipelineConfig:
     tau: float = 0.1
     subroutine: str = "auto"        # one of SUBROUTINES; auto is pmm when d' <= 2
     seed: int = 0
-    budget_split: str = "three"     # one of BUDGET_SPLITS
     delta_mode: str = "alg5"        # psmm lattice spacing rule, one of DELTA_MODES
     delta_scale: float = 1.0
     m_target: int = None            # psmm output size, defaults to n; pmm refuses it
@@ -68,8 +62,6 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise InvalidBudgetError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.budget_split not in BUDGET_SPLITS:
-            raise InvalidParameterError(f"budget_split must be one of {BUDGET_SPLITS}, got {self.budget_split!r}")
         if self.subroutine not in SUBROUTINES:
             raise InvalidParameterError(f"subroutine must be one of {SUBROUTINES}, got {self.subroutine!r}")
         if self.delta_mode not in DELTA_MODES:
@@ -86,10 +78,6 @@ class PipelineConfig:
             object.__setattr__(self, "m_target", int(self.m_target))
         if not self.delta_scale > 0:
             raise InvalidParameterError(f"delta_scale must be positive, got {self.delta_scale}")
-
-    def stage_fractions(self) -> dict:
-        """Budget shares per stage; exact rationals that sum to one."""
-        return dict(_SPLITS[self.budget_split])
 
 
 @dataclass(frozen=True)
@@ -121,7 +109,8 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     Deterministic given (data, config): all randomness derives from
     config.seed through named sub-streams, one per stage.  The data mean and
     centered Gram are computed once (on the Dataset) and feed the covariance
-    release, the projection's centering, the add-back and the diagnostics.
+    release, the projection's private mean and centering, and the
+    diagnostics; the add-back reuses that private mean.
     The lift, the mean add-back, the on-subspace check and the clamp all
     work in place in the one d x m output; ``keep_intermediates`` adds
     copies of the lifted and the pre-clamp points.
@@ -129,8 +118,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     dataset = data if isinstance(data, Dataset) else Dataset(np.asarray(data, dtype=np.float64))
     d, n = dataset.points.shape
 
-    fractions = config.stage_fractions()
-    eps = {name: config.epsilon * float(frac) for name, frac in fractions.items()}
+    eps = {name: config.epsilon * float(frac) for name, frac in STAGE_FRACTIONS.items()}
     if not eps["subroutine"] * n > 1.0:
         raise InvalidRegimeError(
             f"subroutine budget times n must exceed 1 (got {eps['subroutine'] * n:.3g}); "
@@ -174,13 +162,9 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
 
     synthetic = projected.basis @ coords_out
     lifted = synthetic.copy() if keep_intermediates else None
-    if config.budget_split == "four":
-        add_back_mean = dataset.mean + sample_laplace(d / (eps["add_back"] * n), root.split("add-back"), size=d)
-    else:
-        add_back_mean = projected.private_mean  # saved private mean, no extra budget
-    synthetic += add_back_mean[:, None]
+    synthetic += projected.private_mean[:, None]  # already released, no extra budget
     pre_clamp = synthetic.copy() if keep_intermediates else None
-    on_subspace = _on_subspace(synthetic, add_back_mean, projected.basis)
+    on_subspace = _on_subspace(synthetic, projected.private_mean, projected.basis)
     np.clip(synthetic, 0.0, 1.0, out=synthetic)
 
     m = synthetic.shape[1]
@@ -207,7 +191,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
         "seed": config.seed,
         "stage_budgets": {
             name: {"fraction": str(frac), "epsilon": config.epsilon * float(frac)}
-            for name, frac in fractions.items()
+            for name, frac in STAGE_FRACTIONS.items()
         },
         "noise_scales": {
             "covariance_entry": cov.noise_scale,
@@ -216,9 +200,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
         "radius": projected.radius,
         "subroutine_info": sub_info,
         "checks": checks,
-        "draw_streams": ["covariance", "projection", "subroutine", "add-back"][
-            : 4 if config.budget_split == "four" else 3
-        ],
+        "draw_streams": ["covariance", "projection", "subroutine"],
         "non_private": False,  # every stage always draws its noise
         "warning": "empty-output" if m == 0 else None,
     }
@@ -230,6 +212,5 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
             "coords_out": coords_out,
             "lifted": lifted,
             "pre_clamp": pre_clamp,
-            "add_back_mean": add_back_mean,
         }
     return SyntheticDataset(points=synthetic, provenance=provenance, intermediates=intermediates)

@@ -171,9 +171,9 @@ class NoiselessGenerator(SeededGenerator):
     Every Laplace sampler reads its uniforms only through ``open_uniform``
     and maps 1/2 to exactly 0 (the continuous one through sign(0) = 0, the
     integer one through two equal geometric draws), so each release returns
-    its input unchanged.  ``random``, ``choice``, ``integers`` and
-    ``standard_normal`` are the seeded streams of a SeededGenerator on the
-    same seed and path, and ``split`` derives another NoiselessGenerator.
+    its input unchanged.  ``random``, ``choice`` and ``standard_normal``
+    are the seeded streams of a SeededGenerator on the same seed and path,
+    and ``split`` derives another NoiselessGenerator.
     """
 
     def split(self, label) -> "NoiselessGenerator":

@@ -51,7 +51,7 @@ def _scaling_experiment(sizes, trials, d, d_prime, subroutine, **cfg_kw):
         for t in range(trials)
     ]
     summary = _summarize(rows)
-    curve = [(n, group["mean_stage_w1"]) for n, group in zip(sizes, summary["groups"].values())]
+    curve = [(group["n"], group["mean_stage_w1"]) for group in summary["groups"]]
     return summary["stage_slopes"][str(d_prime)], summary["slopes"][str(d_prime)], curve
 
 

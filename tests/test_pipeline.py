@@ -10,7 +10,7 @@ from lowdp.errors import InvalidBudgetError, InvalidDimensionError, InvalidParam
 from lowdp.metrics import wasserstein1
 from lowdp.noise import SeededGenerator
 from lowdp.pca import BLOCK
-from lowdp.pipeline import PipelineConfig, generate
+from lowdp.pipeline import STAGE_FRACTIONS, PipelineConfig, generate
 from lowdp.planted import planted_subspace_dataset
 
 
@@ -19,8 +19,6 @@ def test_config_validation():
         PipelineConfig(epsilon=0.0)
     with pytest.raises(InvalidParameterError):
         PipelineConfig(epsilon=1.0, subroutine="magic")
-    with pytest.raises(InvalidParameterError):
-        PipelineConfig(epsilon=1.0, budget_split="five")
     with pytest.raises(InvalidParameterError):
         PipelineConfig(epsilon=1.0, d_prime="auto", tau=2.0)
 
@@ -54,9 +52,7 @@ def test_config_keeps_whole_number_m_target():
 
 
 def test_stage_fractions_sum_to_one_exactly():
-    for split in ("three", "four"):
-        fracs = PipelineConfig(epsilon=1.0, budget_split=split).stage_fractions()
-        assert sum(fracs.values()) == Fraction(1)
+    assert sum(STAGE_FRACTIONS.values()) == Fraction(1)
 
 
 def test_three_way_budget_ledger():
@@ -67,14 +63,6 @@ def test_three_way_budget_ledger():
     assert all(v["epsilon"] == pytest.approx(2.0 / 3.0) for v in budgets.values())
     total = sum(Fraction(v["fraction"]) for v in budgets.values())
     assert total == Fraction(1)
-
-
-def test_four_way_budget_ledger():
-    data, _ = planted_subspace_dataset(500, 6, 2, SeededGenerator(1))
-    result = generate(data, PipelineConfig(epsilon=2.0, d_prime=2, seed=1, budget_split="four"))
-    budgets = result.provenance["stage_budgets"]
-    assert set(budgets) == {"covariance", "projection", "subroutine", "add_back"}
-    assert sum(Fraction(v["fraction"]) for v in budgets.values()) == Fraction(1)
 
 
 def test_output_always_inside_cube():
@@ -93,7 +81,7 @@ def test_pre_clamp_output_lies_on_private_affine_subspace():
         keep_intermediates=True,
     )
     pre = result.intermediates["pre_clamp"]
-    mean = result.intermediates["add_back_mean"]
+    mean = result.intermediates["projected"].private_mean
     basis = result.intermediates["projected"].basis
     centered = pre - mean[:, None]
     residual = centered - basis @ (basis.T @ centered)
@@ -104,7 +92,7 @@ def test_pre_clamp_output_lies_on_private_affine_subspace():
     "n, d, config",
     [
         (2 * BLOCK + 9, 6, {"d_prime": 2, "subroutine": "pmm"}),
-        (500, 4, {"d_prime": 1, "subroutine": "pmm", "budget_split": "four"}),
+        (500, 4, {"d_prime": 1, "subroutine": "pmm"}),
         (600, 5, {"d_prime": 3, "subroutine": "psmm", "delta_mode": "proof", "delta_scale": 4.0}),
     ],
 )
@@ -116,7 +104,7 @@ def test_in_place_lift_and_clamp_keep_the_intermediates_exact(n, d, config):
     inter = kept.intermediates
     lifted = inter["projected"].basis @ inter["coords_out"]
     assert inter["lifted"].tobytes() == lifted.tobytes()
-    assert inter["pre_clamp"].tobytes() == (lifted + inter["add_back_mean"][:, None]).tobytes()
+    assert inter["pre_clamp"].tobytes() == (lifted + inter["projected"].private_mean[:, None]).tobytes()
     assert kept.points.tobytes() == np.clip(inter["pre_clamp"], 0.0, 1.0).tobytes()
     assert plain.intermediates is None
     assert plain.points.tobytes() == kept.points.tobytes()
