@@ -59,13 +59,25 @@ def _parses(cell: str) -> bool:
 def ingest(path, *, rescale: bool = False):
     """Load a CSV of one point per row into a Dataset.
 
-    The first row is a header when none of its cells is a number.  Values
-    must be numeric, finite and, unless ``rescale`` is set, already in [0, 1];
-    with ``rescale`` each column is min-max mapped onto [0, 1] and the
+    The points are read by ``_read_points``; a Dataset needs n >= 2 of them.
+    Returns (Dataset, preprocessing-info).
+    """
+    values, info = _read_points(path, rescale=rescale)
+    if values.shape[1] == 0:
+        raise IngestError(f"{path}: file contains a header but no data rows")
+    return Dataset(values), info
+
+
+def _read_points(path, *, rescale: bool = False):
+    """Read a CSV of one point per row into a d x m float array.
+
+    The first row is a header when none of its cells is a number; a file of
+    a header alone is d x 0, d the header's width.  Values must be numeric,
+    finite and, unless ``rescale`` is set, already in [0, 1]; with
+    ``rescale`` each column is min-max mapped onto [0, 1] and the
     per-column ranges are reported so the step is on the preprocessing
     record.  Rows are parsed into float blocks of BLOCK rows, which are
-    then copied into the one d x n array the Dataset keeps.  Returns
-    (Dataset, preprocessing-info).
+    then copied into one d x m array.  Returns (points, preprocessing-info).
     """
     path = Path(path)
     if not path.exists():
@@ -76,6 +88,7 @@ def ingest(path, *, rescale: bool = False):
         first = next(rows, None)
         if first is None:
             raise IngestError(f"{path}: file contains no data rows")
+        width = len(first)
         if any(map(_parses, first)):  # a header is a row none of whose cells is a number
             rows = itertools.chain([first], rows)
         for n, row in enumerate(rows, 1):
@@ -91,8 +104,6 @@ def ingest(path, *, rescale: bool = False):
             except ValueError:
                 j = next(j for j, cell in enumerate(row, 1) if not _parses(cell))
                 raise IngestError(f"{path}: non-numeric cell at row {n}, column {j}: {row[j - 1]!r}") from None
-    if n == 0:
-        raise IngestError(f"{path}: file contains a header but no data rows")
     values = np.empty((width, n))
     for start, block in zip(range(0, n, BLOCK), blocks):
         values[:, start : start + BLOCK] = block[: n - start].T
@@ -108,7 +119,7 @@ def ingest(path, *, rescale: bool = False):
             problem = "is outside [0, 1]; pass --rescale to min-max normalize" if np.isfinite(value) else "is not finite"
             raise IngestError(f"{path}: value {value!r} at row {start + i + 1}, column {j + 1} {problem}")
     info = {"rescale": bool(rescale), "columns": None}
-    if rescale:
+    if rescale and n:
         lo = values.min(axis=1)
         hi = values.max(axis=1)
         span = hi - lo
@@ -118,7 +129,7 @@ def ingest(path, *, rescale: bool = False):
         values /= span[:, None]
         values[flat] = 0.5  # constant columns carry no information
         info["columns"] = [{"min": float(a), "max": float(b)} for a, b in zip(lo, hi)]
-    return Dataset(values), info
+    return values, info
 
 
 def write_points_csv(path, points: np.ndarray) -> None:
@@ -210,9 +221,11 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     original, _ = ingest(args.input, rescale=args.rescale)
-    synthetic, _ = ingest(args.synthetic, rescale=False)
+    synthetic, _ = _read_points(args.synthetic)  # any m >= 0: an empty release is an evaluation target too
+    if synthetic.shape[0] != original.dim:
+        raise IngestError(f"{args.synthetic}: {synthetic.shape[0]} columns, expected {original.dim} as in {args.input}")
     gen = SeededGenerator(args.seed).split("w1-estimate")
-    value, estimator = _evaluate_w1(original.points, synthetic.points, gen, *_eval_values(args))
+    value, estimator = _evaluate_w1(original.points, synthetic, gen, *_eval_values(args))
     report = {
         "record": "evaluation",
         "input": str(args.input),
@@ -223,7 +236,7 @@ def cmd_evaluate(args) -> int:
         "w2": None,
     }
     if args.w2 and estimator == "exact":
-        report["w2"] = float(wasserstein2(original.points, synthetic.points, "l2", max_cells=args.eval_max_cells))
+        report["w2"] = float(wasserstein2(original.points, synthetic, "l2", max_cells=args.eval_max_cells))
     _write_json(args.out, report)
     _log(f"W1 ({estimator}) = {value}")
     return EXIT_OK

@@ -31,6 +31,13 @@ order, so the estimate does not depend on the core count.
 Ground distances are one scipy ``cdist`` call (``chebyshev`` for ``linf``,
 ``euclidean`` for ``l2``), which rejects non-finite coordinates first.
 
+scipy is imported on first use, not with the module: ``ground_distances``
+loads ``scipy.spatial``, the assignment solver and the HiGHS LP load
+``scipy.optimize``, and the LP's constraint matrix ``scipy.sparse``.  The
+solvers are called through the module attributes ``linear_sum_assignment``
+and ``linprog``, which forward to scipy's functions, so a wrapper set on
+either attribute sees every solve, on the pool threads too.
+
 ``projection_diagnostics`` checks a run's projection-stability and
 eigenvalue-shift bounds from the d x d second moment (1/n) Z Z^T alone.
 """
@@ -43,9 +50,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidParameterError, SizeOverflowError, SolverError
 from .noise import SeededGenerator
@@ -109,7 +113,23 @@ def ground_distances(x: np.ndarray, y: np.ndarray, metric: str = "linf") -> np.n
         raise InvalidParameterError("measures live in different ambient dimensions")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameterError("ground distances need finite coordinates")
+    from scipy.spatial.distance import cdist
+
     return cdist(x.T, y.T, _CDIST_METRICS[metric])
+
+
+def linear_sum_assignment(*args, **kwargs):
+    """scipy's ``linear_sum_assignment``, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first call."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _solve_transport(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -120,6 +140,8 @@ def _solve_transport(costs: np.ndarray, a: np.ndarray, b: np.ndarray):
     duals are feasible only to its tolerance, so they are replaced by their
     double c-transform v_j = min_i (c_ij - u_i), u_i = min_j (c_ij - v_j).
     """
+    from scipy import sparse
+
     kp, kq = costs.shape
     ncells = kp * kq
     row_i = np.repeat(np.arange(kp), kq)

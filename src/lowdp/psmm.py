@@ -35,6 +35,10 @@ solution of the LP read from its final residual network
 (``_certified_objective``).  The projection post-processes nu, so it
 spends no privacy; against the l2 metric its objective is larger by at
 most a factor sqrt(d').
+
+scipy is imported on first use: a projection that builds the graph loads
+``scipy.sparse`` and its ``csgraph`` for the Dijkstra and maximum-flow
+phases, and nothing else here needs it.
 """
 
 from __future__ import annotations
@@ -44,11 +48,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
-
-# not called here: perfbench/tracing.py wraps ``lowdp.psmm.linprog`` in a
-# span, and the traced benchmark run fails if the attribute is missing
-from scipy.optimize import linprog  # noqa: F401
 
 from .errors import (
     InvalidBudgetError,
@@ -76,6 +75,18 @@ __all__ = [
 DEFAULT_ANCHOR_CAP = 338_000
 DELTA_MODES = ("alg5", "proof")
 _COARSER = "raise delta_scale (--delta-scale) for a coarser lattice"
+
+
+def __getattr__(name):
+    """``linprog`` is scipy's, resolved on request (PEP 562).  Not called
+    here: perfbench/tracing.py wraps ``lowdp.psmm.linprog`` in a span, and
+    the traced benchmark run fails if the attribute is missing; it goes
+    with ROADMAP item 6."""
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -264,7 +275,8 @@ def _move_to_holes(supply: np.ndarray, graph, budget: int, max_steps: int):
     position.  Returns (net units per grid edge, tail to head; supply left
     per node, negative at unfilled holes; budget left; phases).
     """
-    from scipy.sparse import csgraph  # loaded only by a run that moves mass
+    from scipy import sparse  # loaded only by a run that moves mass
+    from scipy.sparse import csgraph
 
     n_nodes, _, tails, heads = graph
     s, t, source_of_s = n_nodes, n_nodes + 1, n_nodes + 2

@@ -497,3 +497,52 @@ def test_empty_synthetic_output_writes_header_and_warning(tmp_path):
     record = json.loads((out / "run_record.json").read_text())
     assert record["provenance"]["warning"] == "empty-output"
     assert record["provenance"]["m"] == 0
+
+
+def test_evaluate_accepts_the_empty_release_generate_writes(tmp_path):
+    inp = tmp_path / "tiny.csv"
+    _write_csv(inp, [[0.2, 0.4], [0.8, 0.6]])
+    out = tmp_path / "empty"
+    flags = ["--epsilon", "3.0", "--dprime", "1", "--subroutine", "pmm", "--seed", "2", "--evaluate"]
+    assert main(["generate", "--input", str(inp), "--out", str(out), *flags]) == 0
+    assert json.loads((out / "run_record.json").read_text())["w1_estimator"] == "empty"
+    report = tmp_path / "eval.json"
+    code = main(["evaluate", "--input", str(inp), "--synthetic", str(out / "synthetic.csv"), "--out", str(report), "--w2"])
+    assert code == 0
+    record = json.loads(report.read_text())
+    assert (record["w1"], record["w1_estimator"], record["w2"]) == (None, "empty", None)
+
+
+def test_evaluate_one_synthetic_point_gets_its_exact_w1(tmp_path):
+    inp, syn, report = tmp_path / "in.csv", tmp_path / "one.csv", tmp_path / "eval.json"
+    _write_csv(inp, [[0.2, 0.4], [0.8, 0.6], [0.5, 0.1]])
+    _write_csv(syn, [[0.5, 0.5]], header=["x0", "x1"])
+    assert main(["evaluate", "--input", str(inp), "--synthetic", str(syn), "--out", str(report)]) == 0
+    record = json.loads(report.read_text())
+    # every input point moves to the one synthetic point: mean sup distance (0.3 + 0.3 + 0.4) / 3
+    assert record["w1_estimator"] == "exact"
+    assert record["w1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "1 columns, expected 2"),
+        ([[0.5, "x"]], "non-numeric cell at row 1, column 2"),
+        ([[0.5, 1.5]], "column 2 is outside"),
+    ],
+)
+def test_evaluate_checks_the_synthetic_cells(tmp_path, capsys, rows, message):
+    inp, syn = tmp_path / "in.csv", tmp_path / "syn.csv"
+    _write_csv(inp, [[0.2, 0.4], [0.8, 0.6]])
+    _write_csv(syn, rows, header=["x0"] if not rows else None)
+    assert main(["evaluate", "--input", str(inp), "--synthetic", str(syn), "--out", str(tmp_path / "e.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_evaluate_input_still_needs_two_points(tmp_path, capsys):
+    inp, syn = tmp_path / "in.csv", tmp_path / "syn.csv"
+    _write_csv(inp, [[0.2, 0.4]])
+    _write_csv(syn, [[0.2, 0.4], [0.8, 0.6]])
+    assert main(["evaluate", "--input", str(inp), "--synthetic", str(syn), "--out", str(tmp_path / "e.json")]) == 2
+    assert "n >= 2" in capsys.readouterr().err

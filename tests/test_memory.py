@@ -3,12 +3,16 @@
 Each bound counts the arrays the code is meant to hold at its peak (the
 output, one centred copy of the input, fixed-size blocks, one k x k matrix
 per running repeat) in float64 bytes.  tracemalloc sees every numpy buffer
-allocated while it runs.
+allocated while it runs, and also the code of any module first imported
+then, so the modules these calls import on first use are loaded up front.
 """
 
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  (first loaded by a SeededGenerator)
+import scipy.optimize  # noqa: F401  (first loaded by an assignment solve)
+import scipy.spatial.distance  # noqa: F401  (first loaded by a ground distance)
 
 import lowdp.metrics
 from lowdp import PipelineConfig, generate, planted_subspace_dataset, wasserstein1_sampled
