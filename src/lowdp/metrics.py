@@ -15,8 +15,8 @@ For instances too large for the exact solvers there is a separate,
 explicitly approximate subsample estimator.  It draws k atoms from each
 point set and solves each pair of draws exactly, on one of two paths.  When
 the draw with fewer distinct atoms has K of them and 4 K <= k, as for PSMM
-outputs on lattice anchors, that draw is collapsed to K atoms with integer
-multiplicities and the k x K transport is solved over the K atoms: a
+outputs at lattice cell centres, that draw is collapsed to K atoms with
+integer multiplicities and the k x K transport is solved over the K atoms: a
 vectorised price phase lowers the potentials of over-demanded atoms and
 places most draws at once, then successive shortest paths insert the rest.
 Its potentials are checked against the value on every call.  Otherwise the

@@ -4,8 +4,13 @@ A delta-spaced lattice covers the l2 ball of radius R in d' coordinates.
 Per-cell counts get integer Laplace noise at scale 1/eps; the noisy counts
 b over n are the signed measure nu = b / n.  The closest probability
 measure mu to nu under the bounded-Lipschitz distance is found exactly and
-rounded to a synthetic point multiset at the cell anchors.  Both measures
-are vectors over ``Lattice.anchors``.
+rounded to a synthetic point multiset.  Both measures are vectors over
+``Lattice.anchors``, the lower corners a of the cells [a, a + delta)^d'
+that ``cell_counts`` fills; the release puts each cell's points at its
+centre a + delta/2, at most delta sqrt(d') / 2 in l2 from any point
+counted there.  Anchor distances do not change under that shift, so the
+projection is the same for corners and centres, and the shift is
+post-processing that spends no privacy.
 
 The projection is the LP min over (mu >= 0, sum mu = 1, flows gamma >= 0,
 slacks p, q >= 0) of sum rho_ij gamma_ij + sum (p_i + q_i) subject to, at
@@ -491,12 +496,14 @@ def project_to_probability(noisy_counts: np.ndarray, n: int, lattice: Lattice) -
     return mu / mu.sum(), objective
 
 def measure_to_points(mu: np.ndarray, lattice: Lattice, m_target: int) -> np.ndarray:
-    """Deterministic largest-remainder rounding of mu to anchor copies.
+    """Deterministic largest-remainder rounding of mu to copies of cell centres.
 
     mu is a nonnegative weight vector over ``lattice.anchors``.
     Cell counts are floor(m_target * mu_i) plus one for the largest
-    remainders (ties broken toward the lower anchor index); each anchor is
-    emitted count times.  Returns a d' x m_target matrix.
+    remainders (ties broken toward the lower anchor index); the centre
+    a + delta/2 of each cell [a, a + delta)^d' is emitted count times, so
+    ``cell_counts`` of the output gives the counts back.  Returns a
+    d' x m_target matrix.
     """
     if int(m_target) < 1:
         raise InvalidParameterError(f"m_target must be >= 1, got {m_target}")
@@ -509,7 +516,7 @@ def measure_to_points(mu: np.ndarray, lattice: Lattice, m_target: int) -> np.nda
         fractions = scaled - counts
         order = np.lexsort((np.arange(w.size), -fractions))
         counts[order[:remaining]] += 1
-    return np.repeat(lattice.anchors, counts, axis=0).T
+    return np.repeat((lattice.int_coords + 0.5) * lattice.delta, counts, axis=0).T
 
 
 def run_psmm(

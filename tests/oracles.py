@@ -183,6 +183,19 @@ class NoiselessGenerator(SeededGenerator):
         return np.full(size, 0.5) if size is not None else 0.5
 
 
+def largest_remainder_counts(mu, m):
+    """Hamilton's method: floor(m mu_i) per cell, then one more for each of
+    the cells with the largest remainders, ties toward the lower index, until
+    the counts sum to m."""
+    w = np.asarray(mu, dtype=np.float64)
+    scaled = m * (w / w.sum())
+    counts = np.floor(scaled).astype(np.int64)
+    by_remainder = sorted(range(w.size), key=lambda i: (counts[i] - scaled[i], i))
+    for i in by_remainder[: m - int(counts.sum())]:
+        counts[i] += 1
+    return counts
+
+
 def leaf_centers(tree):
     """Each leaf's consistent count of copies of its center, d' x m, leaves in theta order."""
     lo, hi = tree._leaf_bounds(np.arange(1 << tree.depth))

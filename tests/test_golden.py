@@ -56,7 +56,7 @@ def _run_pipeline(name):
     record = {"points": result.points.tolist(), "provenance": _provenance(result)}
     if result.provenance["subroutine"] == "psmm":
         delta = result.provenance["subroutine_info"]["delta"]
-        cells = np.rint(result.intermediates["coords_out"] / delta).astype(np.int64)
+        cells = np.floor(result.intermediates["coords_out"] / delta).astype(np.int64)
         anchors, counts = np.unique(cells, axis=1, return_counts=True)
         record["anchors"] = anchors.tolist()
         record["multiplicities"] = counts.tolist()

@@ -11,6 +11,7 @@ from lowdp.errors import (
     LatticeTooLargeError,
     SolverError,
 )
+from lowdp.metrics import wasserstein1
 from lowdp.noise import SeededGenerator
 from lowdp.psmm import (
     Lattice,
@@ -31,6 +32,7 @@ from oracles import (
     anchor_distances,
     bl_projection_grid_lp,
     bl_projection_lp_dense,
+    largest_remainder_counts,
     projection_lp_by_vertex_enumeration,
 )
 
@@ -429,14 +431,31 @@ def test_measure_to_points_single_anchor():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[1]]))
     pts = measure_to_points(np.array([1.0]), lat, 5)
     assert pts.shape == (1, 5)
-    assert (pts == 0.5).all()
+    assert (pts == 0.75).all()  # the centre of the cell [0.5, 1.0)
 
 
 def test_measure_to_points_tie_goes_to_lower_index():
     lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
     pts = measure_to_points(np.array([0.5, 0.5]), lat, 3)
     assert pts.shape == (1, 3)
-    assert (pts[0] == [0.0, 0.0, 0.5]).all()
+    assert (pts[0] == [0.25, 0.25, 0.75]).all()
+
+
+def test_measure_to_points_recounts_to_its_own_cells():
+    """A release counted again by ``cell_counts`` gives back the rounded
+    counts: each point sits inside its cell, not on a face where the floor
+    rounding of a lower corner can send it to the neighbouring cell or off
+    the lattice."""
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        d_prime = int(rng.integers(1, 4))
+        radius = float(rng.uniform(0.3, 3.0))
+        lat = build_lattice(radius, radius * float(rng.uniform(0.25, 2.0)), d_prime)
+        w = rng.random(lat.size) * (rng.random(lat.size) < 0.5)
+        w[rng.integers(lat.size)] += 0.1
+        mu, m = w / w.sum(), int(rng.integers(1, 200))
+        pts = measure_to_points(mu, lat, m)
+        assert (cell_counts(pts, lat) == largest_remainder_counts(mu, m)).all(), trial
 
 
 def test_measure_to_points_total_is_target():
@@ -454,6 +473,20 @@ def test_run_psmm_end_to_end_zero_noise_mass():
     out, info = run_psmm(coords, 2.0, 1.0, 50, 6, NoiselessGenerator(9).split("r"), delta_scale=2.0)
     assert out.shape[1] == 50
     assert info["projection_objective"] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d_prime", [1, 2, 3])
+def test_noiseless_psmm_returns_points_at_a_cell_centre(d_prime):
+    """With no noise, n points at the centre of one cell come back where
+    they were: stage W1 0 (a lower-corner release is delta sqrt(d') / 2 off)."""
+    n, radius, d = 50, 2.0, 6
+    delta = lattice_delta(d, d_prime, 1.0, n) * 2.0
+    cell = np.array([1, -2, 0][:d_prime])
+    coords = np.repeat(((cell + 0.5) * delta)[:, None], n, axis=1)
+    out, info = run_psmm(coords, radius, 1.0, n, d, NoiselessGenerator(12).split("r"), delta_scale=2.0)
+    assert info["delta"] == delta
+    assert out.shape == (d_prime, n)
+    assert wasserstein1(coords, out, "l2") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_run_psmm_reproducible():
