@@ -19,21 +19,27 @@ outputs at lattice cell centres, that draw is collapsed to K atoms with
 integer multiplicities and the k x K transport is solved over the K atoms: a
 vectorised price phase lowers the potentials of over-demanded atoms and
 places most draws at once, then successive shortest paths insert the rest.
-Its potentials are checked against the value on every call.  Otherwise the
-k x k costs, with a 1e-11 tie-breaking jitter added in place, go to the
-assignment solver, and the matched pairs' costs are recomputed from the
-points, so each repeat holds one k x k matrix.
+Its potentials are checked against the value on every call.  A draw whose
+first coordinate alone takes more than k/4 values is not sorted by column.
+Otherwise the k x k costs, with a 1e-11 tie-breaking jitter added in place,
+go to the assignment solver, and the matched pairs' costs are recomputed
+from the points, so each repeat holds one k x k matrix.
 The calling thread draws and prepares the repeats in order; only their
 assignment solves run in a thread pool, at most min(repeats, usable cores)
 at once, and each repeat's value is stored by index and averaged in repeat
 order, so the estimate does not depend on the core count.
 
 Ground distances are one scipy ``cdist`` call (``chebyshev`` for ``linf``,
-``euclidean`` for ``l2``), which rejects non-finite coordinates first.
+``euclidean`` for ``l2``), which rejects non-finite coordinates first; it
+serves every exact path and the sampled k x k costs.  The sampled k x K
+costs and matched-pair costs are folded one coordinate at a time in numpy,
+in cdist's order, so they equal its entries to the bit; at these sizes the
+fold is cheap, on a k x k matrix cdist is 3-4 times faster.
 
 scipy is imported on first use, not with the module: ``ground_distances``
 loads ``scipy.spatial``, the assignment solver and the HiGHS LP load
-``scipy.optimize``, and the LP's constraint matrix ``scipy.sparse``.  The
+``scipy.optimize``, and the LP's constraint matrix ``scipy.sparse``.  A
+sampled W1 whose every draw collapses loads no scipy.  The
 solvers are called through the module attributes ``linear_sum_assignment``
 and ``linprog``, which forward to scipy's functions, so a wrapper set on
 either attribute sees every solve, on the pool threads too.
@@ -99,6 +105,17 @@ class TransportResult:
     costs: np.ndarray
 
 
+def _check_ground(x: np.ndarray, y: np.ndarray, metric: str) -> None:
+    """Raise InvalidParameterError unless metric is known and x, y are finite
+    points of one dimension."""
+    if metric not in _CDIST_METRICS:
+        raise InvalidParameterError(f"unknown ground metric {metric!r} (use 'linf' or 'l2')")
+    if x.shape[0] != y.shape[0]:
+        raise InvalidParameterError("measures live in different ambient dimensions")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidParameterError("ground distances need finite coordinates")
+
+
 def ground_distances(x: np.ndarray, y: np.ndarray, metric: str = "linf") -> np.ndarray:
     """Pairwise ground distances between columns of x (d x k1) and y (d x k2).
 
@@ -107,15 +124,33 @@ def ground_distances(x: np.ndarray, y: np.ndarray, metric: str = "linf") -> np.n
     coordinates in order, so ground_distances(y, x) is the transpose to the
     bit.  Coordinates must be finite: ``chebyshev`` would skip a NaN.
     """
-    if metric not in _CDIST_METRICS:
-        raise InvalidParameterError(f"unknown ground metric {metric!r} (use 'linf' or 'l2')")
-    if x.shape[0] != y.shape[0]:
-        raise InvalidParameterError("measures live in different ambient dimensions")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidParameterError("ground distances need finite coordinates")
+    _check_ground(x, y, metric)
     from scipy.spatial.distance import cdist
 
     return cdist(x.T, y.T, _CDIST_METRICS[metric])
+
+
+def _folded_distances(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
+    """Ground distances between x and y, d x ... arrays that broadcast, one
+    coordinate at a time: |x_c - y_c| folded in by maximum for ``linf``, its
+    square summed in coordinate order, then one square root, for ``l2``.
+
+    cdist reduces each pair the same way from 0, so the bits are its own:
+    x[:, :, None] against y[:, None, :] gives ground_distances(x, y), and two
+    d x k arrays give the distance of each column pair.  The caller checks
+    the metric and the coordinates.
+    """
+    out = np.zeros(np.broadcast_shapes(x.shape[1:], y.shape[1:]))
+    diff = np.empty_like(out)
+    for xc, yc in zip(x, y):
+        np.subtract(xc, yc, out=diff)
+        if metric == "linf":
+            np.abs(diff, out=diff)
+            np.maximum(out, diff, out=out)
+        else:
+            diff *= diff
+            out += diff
+    return out if metric == "linf" else np.sqrt(out, out=out)
 
 
 def linear_sum_assignment(*args, **kwargs):
@@ -261,6 +296,10 @@ def wasserstein1_sampled(
         if not isinstance(count, (int, np.integer)) or count < 1:
             raise InvalidParameterError(f"{name} must be a positive integer, got {count!r}")
     p, q = _as_points(p), _as_points(q)
+    # the collapsed path computes its costs without ground_distances, so the
+    # metric and the dimensions are checked before any draw, and the
+    # coordinates of each collapsed pair of draws before its costs
+    _check_ground(p[:, :0], q[:, :0], metric)
     values = [None] * repeats
     workers = min(repeats, _usable_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -271,19 +310,20 @@ def wasserstein1_sampled(
                 sub = gen.split(f"w1-sample-{rep}")
                 xs = _draw_atoms(p, k, sub.split("p"))
                 ys = _draw_atoms(q, k, sub.split("q"))
-                ux, x_counts = np.unique(xs, axis=1, return_counts=True)
-                uy, y_counts = np.unique(ys, axis=1, return_counts=True)
-                units, atoms, counts = (ys, ux, x_counts) if ux.shape[1] < uy.shape[1] else (xs, uy, y_counts)
-                if atoms.shape[1] * _COLLAPSE_RATIO <= k:
+                collapsed = _collapse(xs, ys, k)
+                if collapsed is not None:
+                    units, atoms, counts = collapsed
+                    _check_ground(units, atoms, metric)
                     # ground distances are symmetric to the bit, so these k x K
                     # costs are columns of the k x k matrix whichever side was collapsed
-                    values[rep] = _checked_atom_transport(ground_distances(units, atoms, metric), counts)
+                    costs = _folded_distances(units[:, :, None], atoms[:, None, :], metric)
+                    values[rep] = _checked_atom_transport(costs, counts)
                     continue
                 solve = pool.submit(linear_sum_assignment, _jittered_costs(xs, ys, metric, sub))
                 solves.append((rep, xs, ys, solve))
             for rep, xs, ys, solve in solves:
                 rows, cols = solve.result()
-                values[rep] = _matched_costs(xs[:, rows], ys[:, cols], metric).mean()
+                values[rep] = _folded_distances(xs[:, rows], ys[:, cols], metric).mean()
     return float(np.mean(values))
 
 
@@ -306,15 +346,24 @@ def _jittered_costs(xs: np.ndarray, ys: np.ndarray, metric: str, gen: SeededGene
     return costs
 
 
-def _matched_costs(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
-    """Ground distance of each column pair (x[:, i], y[:, i]).
+def _collapse(xs: np.ndarray, ys: np.ndarray, k: int):
+    """(units, atoms, counts) with the draw of fewer distinct atoms (ys on a
+    tie) collapsed to its atoms and their counts, or None when that draw has
+    more than k / _COLLAPSE_RATIO atoms.
 
-    The diagonals of cdist calls on blocks of sqrt(BLOCK) pairs: the same
-    kernel as the k x k costs, so each equals its cost entry to the bit.
+    A draw whose first coordinate alone takes more values than that cannot
+    be collapsed, and a 1-D sort of that coordinate spares it the column
+    sort.
     """
-    step = math.isqrt(BLOCK)
-    blocks = [slice(s, s + step) for s in range(0, x.shape[1], step)]
-    return np.concatenate([np.diagonal(ground_distances(x[:, b], y[:, b], metric)) for b in blocks])
+    found = []
+    for units, draw in ((xs, ys), (ys, xs)):
+        if np.unique(draw[:1]).size * _COLLAPSE_RATIO > k:
+            continue
+        atoms, counts = np.unique(draw, axis=1, return_counts=True)
+        if atoms.shape[1] * _COLLAPSE_RATIO <= k:
+            found.append((units, atoms, counts))
+    # min keeps the first of equal entries, and the first collapses ys
+    return min(found, key=lambda side: side[1].shape[1], default=None)
 
 
 def _checked_atom_transport(costs: np.ndarray, counts: np.ndarray) -> float:

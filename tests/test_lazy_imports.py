@@ -1,7 +1,9 @@
 """What each entry point loads, and which attributes the solvers are called through.
 
 `import lowdp` loads numpy and the standard library only; each scipy part is
-imported by the first call that needs it.  The solvers are called through
+imported by the first call that needs it.  A sampled W1 whose draws collapse
+to few atoms computes its costs in numpy and loads no scipy, so neither does
+``lowdp evaluate`` of a large PSMM-style release.  The solvers are called through
 the module attributes ``lowdp.metrics.linear_sum_assignment`` and
 ``lowdp.metrics.linprog``, which perfbench/tracing.py wraps, so a direct
 import of scipy's function in their place would leave its spans empty.
@@ -19,6 +21,7 @@ import scipy.optimize
 
 import lowdp.metrics
 import lowdp.psmm
+from lowdp.cli import write_points_csv
 from lowdp.metrics import wasserstein1, wasserstein1_sampled
 from lowdp.noise import SeededGenerator
 
@@ -66,7 +69,7 @@ def test_pmm_generate_loads_no_scipy():
     assert modules == []
 
 
-def test_collapsed_sampled_w1_loads_cdist_only():
+def test_collapsed_sampled_w1_loads_no_scipy():
     # q's draws hold at most 3 distinct atoms, so every repeat takes the collapsed path
     _, modules = _scipy_modules_after(
         "import numpy as np\n"
@@ -76,8 +79,25 @@ def test_collapsed_sampled_w1_loads_cdist_only():
         "q = np.repeat(rng.random((3, 3)), 40, axis=1)\n"
         "wasserstein1_sampled(rng.random((3, 120)), q, SeededGenerator(4), k=64, repeats=2)\n"
     )
-    assert "scipy.spatial" in modules
-    assert "scipy.optimize" not in modules
+    assert modules == []
+
+
+def test_sampled_evaluate_of_a_few_atom_release_loads_no_scipy(tmp_path):
+    # 5 distinct release points, 40 copies each: every k = 200 draw collapses
+    rng = np.random.default_rng(8)
+    write_points_csv(tmp_path / "input.csv", rng.random((4, 300)))
+    write_points_csv(tmp_path / "synthetic.csv", np.repeat(rng.random((4, 5)), 40, axis=1))
+    report = tmp_path / "report.json"
+    argv = [
+        "evaluate",
+        "--input", str(tmp_path / "input.csv"),
+        "--synthetic", str(tmp_path / "synthetic.csv"),
+        "--out", str(report),
+        "--eval-max-cells", "1",
+    ]
+    _, modules = _scipy_modules_after(f"from lowdp.cli import main\nassert main({argv!r}) == 0\n")
+    assert json.loads(report.read_text())["w1_estimator"] == "sampled"
+    assert modules == []
 
 
 def test_psmm_projection_that_moves_mass_loads_csgraph_only():

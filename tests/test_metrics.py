@@ -472,6 +472,61 @@ def test_sampled_estimator_keeps_assignment_on_distinct_atoms(monkeypatch):
     assert calls == [(128, 128)] * 3
 
 
+@pytest.mark.parametrize("collapses", [True, False], ids=["collapsed", "assignment"])
+@pytest.mark.parametrize(
+    "metric, y_dim, message",
+    [("l1", 3, "unknown ground metric"), ("linf", 2, "different ambient dimensions")],
+    ids=["metric", "dimension"],
+)
+def test_sampled_estimator_checks_metric_and_dimension_on_both_paths(collapses, metric, y_dim, message):
+    rng = np.random.default_rng(32)
+    x = rng.random((3, 64))
+    y = np.repeat(rng.random((y_dim, 4)), 16, axis=1) if collapses else rng.random((y_dim, 64))
+    with pytest.raises(InvalidParameterError, match=message):
+        wasserstein1_sampled(x, y, SeededGenerator(2), metric, k=64, repeats=1)
+
+
+@pytest.mark.parametrize("k", [2, 40])
+def test_sampled_estimator_on_zero_dimensional_points(k):
+    # every draw of 0-coordinate points is one atom: k = 2 takes the assignment, k = 40 collapses
+    points = np.zeros((0, 50))
+    for metric in ("linf", "l2"):
+        assert wasserstein1_sampled(points, points, SeededGenerator(3), metric, k=k, repeats=2) == 0.0
+
+
+def _draw_with_atoms(rng, k, n_atoms, shared_first):
+    """k columns over n_atoms distinct atoms, shuffled; shared_first puts
+    every atom on one first coordinate."""
+    atoms = rng.random((3, n_atoms))
+    if shared_first:
+        atoms[0] = 0.5
+    draw = np.concatenate([atoms, atoms[:, rng.integers(0, n_atoms, k - n_atoms)]], axis=1)
+    return draw[:, rng.permutation(k)]
+
+
+def _collapse_reference(xs, ys, k):
+    """The path rule: the draw with fewer distinct atoms (ys on a tie) is
+    collapsed when K * _COLLAPSE_RATIO <= k, else None."""
+    ux, x_counts = np.unique(xs, axis=1, return_counts=True)
+    uy, y_counts = np.unique(ys, axis=1, return_counts=True)
+    units, atoms, counts = (ys, ux, x_counts) if ux.shape[1] < uy.shape[1] else (xs, uy, y_counts)
+    return (units, atoms, counts) if atoms.shape[1] * lowdp.metrics._COLLAPSE_RATIO <= k else None
+
+
+def test_collapse_choice_follows_the_path_rule():
+    rng = np.random.default_rng(33)
+    for k in (16, 64):
+        sizes = (1, k // 8, k // 4, k // 4 + 1, k // 2, k)
+        draws = [_draw_with_atoms(rng, k, size, shared) for size in sizes for shared in (False, True)]
+        for xs in draws:
+            for ys in draws:
+                got, expected = lowdp.metrics._collapse(xs, ys, k), _collapse_reference(xs, ys, k)
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert got[0] is expected[0]
+                    assert np.array_equal(got[1], expected[1]) and np.array_equal(got[2], expected[2])
+
+
 def test_sampled_estimator_checks_the_atom_transport_dual(monkeypatch):
     x = np.array([[0.0, 0.0, 1.0, 1.0]])
     y = np.array([[0.0, 1.0, 0.0, 1.0] * 8])
@@ -511,6 +566,26 @@ def test_ground_distance_metrics():
     assert ground_distances(x, y, "l2")[0, 0] == 5.0
     with pytest.raises(InvalidParameterError):
         ground_distances(x, y, "manhattan")
+
+
+def _kernel_instances():
+    """(x, y) pairs at d = 1 to 50: normal draws, draws spread over 10 orders
+    of magnitude, and grid points with many exact ties and zero differences."""
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3, 8, 10, 50):
+        yield rng.standard_normal((d, 40)), rng.standard_normal((d, 30))
+        yield rng.standard_normal((d, 40)) * 10.0 ** rng.integers(-5, 6, (d, 1)), rng.random((d, 30))
+        yield np.round(rng.random((d, 40)) * 4) / 4, np.round(rng.random((d, 30)) * 4) / 4
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_folded_distances_equal_cdist_to_the_bit(metric):
+    for x, y in _kernel_instances():
+        full = ground_distances(x, y, metric)
+        folded = lowdp.metrics._folded_distances(x[:, :, None], y[:, None, :], metric)
+        assert folded.shape == full.shape and np.array_equal(folded, full)
+        pairs = lowdp.metrics._folded_distances(x[:, :30], y, metric)
+        assert np.array_equal(pairs, np.diagonal(full))
 
 
 def _top_eigenvectors_of(matrix, d_prime):
