@@ -25,7 +25,7 @@ import numpy as np
 
 from .audit import AUDIT_MECHANISMS, audit_mechanism
 from .errors import IngestError, LowdpError, SizeOverflowError, SolverError
-from .metrics import wasserstein1, wasserstein1_sampled, wasserstein2
+from .metrics import METRICS, wasserstein1, wasserstein1_sampled, wasserstein2
 from .noise import SeededGenerator
 from .pca import BLOCK, Dataset
 from .pipeline import SUBROUTINES, PipelineConfig, generate
@@ -376,7 +376,7 @@ def _eval_values(args):
 
 
 def _add_eval_options(parser):
-    parser.add_argument("--metric", choices=("linf", "l2"), default="linf")
+    parser.add_argument("--metric", choices=METRICS, default="linf")
     parser.add_argument("--eval-max-cells", type=_positive_int, default=1_000_000,
                         help="largest exact transport instance before sampling")
     parser.add_argument("--eval-k", type=_positive_int, default=1024, help="subsample size of the sampled estimator")

@@ -62,6 +62,7 @@ from .noise import SeededGenerator
 from .pca import BLOCK
 
 __all__ = [
+    "METRICS",
     "TransportResult",
     "ProjectionReport",
     "ground_distances",
@@ -81,6 +82,7 @@ DEFAULT_MAX_CELLS = 4_000_000
 # assignment is faster at every k/K up to 12, by 1.3-5 ms
 _COLLAPSE_RATIO = 4
 _CDIST_METRICS = {"linf": "chebyshev", "l2": "euclidean"}
+METRICS = tuple(_CDIST_METRICS)
 
 
 def _as_points(points) -> np.ndarray:
@@ -108,8 +110,8 @@ class TransportResult:
 def _check_ground(x: np.ndarray, y: np.ndarray, metric: str) -> None:
     """Raise InvalidParameterError unless metric is known and x, y are finite
     points of one dimension."""
-    if metric not in _CDIST_METRICS:
-        raise InvalidParameterError(f"unknown ground metric {metric!r} (use 'linf' or 'l2')")
+    if metric not in METRICS:
+        raise InvalidParameterError(f"unknown ground metric {metric!r}; choose from {METRICS}")
     if x.shape[0] != y.shape[0]:
         raise InvalidParameterError("measures live in different ambient dimensions")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

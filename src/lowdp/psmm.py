@@ -1,10 +1,12 @@
 """Synthetic measure on a ball via a noisy lattice and an exact projection.
 
-A delta-spaced lattice covers the l2 ball of radius R in d' coordinates.
-Per-cell counts get integer Laplace noise at scale 1/eps; the noisy counts
-b over n are the signed measure nu = b / n.  The closest probability
-measure mu to nu under the bounded-Lipschitz distance is found exactly and
-rounded to a synthetic point multiset.  Both measures are vectors over
+A delta-spaced lattice covers the l2 ball of radius R in d' coordinates;
+in units of delta it is one integer ball (``_ball``), and one lookup
+(``_lookup``) finds points' cells and grid neighbours in it.  Per-cell
+counts get integer Laplace noise at scale 1/eps; the noisy counts b over n
+are the signed measure nu = b / n.  The closest probability measure mu to
+nu under the bounded-Lipschitz distance is found exactly and rounded to a
+synthetic point multiset.  Both measures are vectors over
 ``Lattice.anchors``, the lower corners a of the cells [a, a + delta)^d'
 that ``cell_counts`` fills; the release puts each cell's points at its
 centre a + delta/2, at most delta sqrt(d') / 2 in l2 from any point
@@ -103,9 +105,11 @@ class Lattice:
     """
 
     delta: float
-    radius: float
-    d_prime: int
     int_coords: np.ndarray
+
+    @property
+    def d_prime(self) -> int:
+        return self.int_coords.shape[1]
 
     @property
     def anchors(self) -> np.ndarray:
@@ -133,58 +137,59 @@ def lattice_delta(d: int, d_prime: int, epsilon: float, n: int, *, mode: str = "
     raise InvalidParameterError(f"unknown delta mode {mode!r}; choose from {DELTA_MODES}")
 
 
+def _ball(k2: int, d_prime: int, cap: int = None) -> np.ndarray:
+    """Every z in Z^d' with |z|^2 <= k2 in lexicographic order, built one axis
+    at a time: each prefix is repeated once per value of the next coordinate
+    that fits in the room its squares leave.  Every prefix extends to at
+    least one point, so a running count over ``cap`` refuses before the
+    array that would pass it is allocated."""
+    points, squares = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for axis in range(d_prime):
+        room = k2 - squares
+        width = np.sqrt(room).astype(np.int64)
+        width += (width + 1) ** 2 <= room  # the float root is off by at most one
+        width -= width**2 > room
+        counts = 2 * width + 1
+        total = int(counts.sum())
+        if cap is not None and total > cap:
+            bound = "about" if axis == d_prime - 1 else "more than"
+            raise LatticeTooLargeError(f"lattice would have {bound} {total} anchors (cap {cap}); {_COARSER}")
+        column = np.arange(total) - np.repeat(np.cumsum(counts) - width - 1, counts)
+        points = np.column_stack([np.repeat(points, counts, axis=0), column])
+        squares = np.repeat(squares, counts) + column**2
+    return points
+
+
+def _lookup(ints: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The row of ``ints`` equal to each row of ``query``, or -1 where none is:
+    one mixed-radix key over the bounding box of ``ints``, one sorted search."""
+    k = int(np.abs(ints).max(initial=0))
+    radix = (2 * k + 1) ** np.arange(ints.shape[1])[::-1]
+    key = (ints + k) @ radix
+    query_key = np.where((np.abs(query) <= k).all(axis=1), (np.clip(query, -k, k) + k) @ radix, -1)
+    order = np.argsort(key)
+    row = order[np.minimum(np.searchsorted(key[order], query_key), key.size - 1)]
+    return np.where(key[row] == query_key, row, -1)
+
+
 def build_lattice(radius: float, delta: float, d_prime: int, *, cap: int = DEFAULT_ANCHOR_CAP) -> Lattice:
     """All anchors a in delta Z^d' with ||a||_2 <= R + delta sqrt(d').
 
     The extension beyond R guarantees that the floor-anchor of every point
-    of the radius-R ball is listed.  A lattice over ``cap`` anchors is
-    refused before any anchor is enumerated: first when its bounding grid
-    is over 8 cap points, then when its anchor count, summed over the
-    grid's first d' - 1 axes, is over cap.
+    of the radius-R ball is listed.  In units of delta the anchors are the
+    integer ball |z|^2 <= floor(reach^2), reach = R / delta + sqrt(d')
+    (``_ball``).  A lattice over ``cap`` anchors is refused before its
+    anchor array is allocated; that is the one refusal rule.
     """
     if not radius > 0:
         raise InvalidParameterError(f"radius must be positive, got {radius}")
     if not 0 < delta <= 2 * radius:
         raise InvalidParameterError(f"delta must be in (0, 2R], got {delta}")
     d_prime = int(d_prime)
-    bound = radius + delta * np.sqrt(d_prime)
-    k_max = int(np.floor(bound / delta))
-    side = 2 * k_max + 1
-    if side ** d_prime > 8 * cap:
-        raise LatticeTooLargeError(
-            f"lattice grid would enumerate about 10^{d_prime * math.log10(side):.1f} candidate anchors "
-            f"(cap {cap}); {_COARSER}"
-        )
-    axis = np.arange(-k_max, k_max + 1, dtype=np.int64)
-    squares = np.zeros(1, dtype=np.int64)
-    for _ in range(d_prime - 1):
-        squares = np.add.outer(squares, axis**2).ravel()
-    room = (bound / delta) ** 2 - squares
-    count = int((2 * np.floor(np.sqrt(room[room >= 0])) + 1).sum())
-    if count > cap:
-        raise LatticeTooLargeError(
-            f"lattice would have about {count} anchors (cap {cap}); {_COARSER}"
-        )
-    grid = np.stack(np.meshgrid(*[axis] * d_prime, indexing="ij"), axis=-1).reshape(-1, d_prime)
-    norms = np.linalg.norm(grid * delta, axis=1)
-    anchors = grid[norms <= bound]
-    if anchors.shape[0] > cap:
-        raise LatticeTooLargeError(
-            f"lattice has {anchors.shape[0]} anchors (cap {cap}); {_COARSER}"
-        )
-    return Lattice(delta=float(delta), radius=float(radius), d_prime=d_prime, int_coords=anchors)
-
-
-def _linear_keys(int_coords: np.ndarray, k: int) -> np.ndarray:
-    """Mixed-radix keys of integer points in [-k, k]^d'; key order is lexicographic order."""
-    side = 2 * k + 1
-    shifted = int_coords + k
-    if (shifted < 0).any() or (shifted >= side).any():
-        raise AssertionError("lattice coverage violated: cell index outside the anchor grid")
-    keys = np.zeros(int_coords.shape[0], dtype=np.int64)
-    for axis in range(int_coords.shape[1]):
-        keys = keys * side + shifted[:, axis]
-    return keys
+    reach = (radius + delta * np.sqrt(d_prime)) / delta
+    if 2 * reach - 1 > cap:  # the first axis alone; also an infinite reach
+        raise LatticeTooLargeError(f"lattice would have more than {cap} anchors on one axis; {_COARSER}")
+    return Lattice(delta=float(delta), int_coords=_ball(int(reach**2), d_prime, cap))
 
 
 def cell_counts(coords: np.ndarray, lattice: Lattice) -> np.ndarray:
@@ -196,19 +201,10 @@ def cell_counts(coords: np.ndarray, lattice: Lattice) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[0] != lattice.d_prime:
         raise InvalidParameterError(f"coords must be {lattice.d_prime} x n, got {coords.shape}")
-    cells = np.floor(coords.T / lattice.delta).astype(np.int64)
-    k_max = int(np.abs(lattice.int_coords).max(initial=0))
-    anchor_keys = _linear_keys(lattice.int_coords, k_max)
-    order = np.argsort(anchor_keys)
-    sorted_keys = anchor_keys[order]
-    point_keys = _linear_keys(cells, k_max)
-    pos = np.searchsorted(sorted_keys, point_keys)
-    pos = np.minimum(pos, sorted_keys.size - 1)
-    if not (sorted_keys[pos] == point_keys).all():
+    cell = _lookup(lattice.int_coords, np.floor(coords.T / lattice.delta).astype(np.int64))
+    if (cell < 0).any():
         raise AssertionError("lattice coverage violated: point cell has no listed anchor")
-    counts = np.zeros(lattice.size, dtype=np.int64)
-    np.add.at(counts, order[pos], 1)
-    return counts
+    return np.bincount(cell, minlength=lattice.size)
 
 
 def noisy_cell_counts(counts: np.ndarray, epsilon: float, gen: SeededGenerator) -> np.ndarray:
@@ -220,31 +216,18 @@ def noisy_cell_counts(counts: np.ndarray, epsilon: float, gen: SeededGenerator) 
 
 
 def _grid_graph(lattice: Lattice):
-    """The unit-step grid graph on every z in Z^d' with ||z||_2 <= max anchor norm.
+    """The unit-step grid graph on the integer ball |z|^2 <= max anchor |a|^2.
 
     Returns (node count, anchor node index per anchor, edge tails, edge
-    heads); each undirected edge joins z and z + e_k.  For a
-    ``build_lattice`` lattice the nodes are exactly its anchors; any other
-    node is a zero-mass transit node.
+    heads), all found by ``_lookup``; each undirected edge joins z and
+    z + e_k.  For a ``build_lattice`` lattice the nodes are exactly its
+    anchors, in order; any other node is a zero-mass transit node.
     """
-    ints = lattice.int_coords
-    d_prime = lattice.d_prime
-    r2 = int((ints**2).sum(axis=1).max(initial=0))
-    k = math.isqrt(r2)
-    axes = [np.arange(-k, k + 1, dtype=np.int64)] * d_prime
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d_prime)
-    nodes = grid[(grid**2).sum(axis=1) <= r2]
-    keys = _linear_keys(nodes, k)  # ascending: meshgrid order is lexicographic
-    anchor_node = np.searchsorted(keys, _linear_keys(ints, k))
-    tails, heads = [], []
-    for axis, step in enumerate(np.eye(d_prime, dtype=np.int64)):
-        inside = np.nonzero(nodes[:, axis] < k)[0]
-        target = _linear_keys(nodes[inside] + step, k)
-        head = np.minimum(np.searchsorted(keys, target), keys.size - 1)
-        ok = keys[head] == target
-        tails.append(inside[ok])
-        heads.append(head[ok])
-    return keys.size, anchor_node, np.concatenate(tails), np.concatenate(heads)
+    nodes = _ball(int((lattice.int_coords**2).sum(axis=1).max(initial=0)), lattice.d_prime)
+    n_nodes, d_prime = nodes.shape
+    head = _lookup(nodes, (nodes + np.eye(d_prime, dtype=np.int64)[:, None]).reshape(-1, d_prime))
+    edge = np.flatnonzero(head >= 0)  # step-major, then tail order
+    return n_nodes, _lookup(nodes, lattice.int_coords), edge % n_nodes, head[edge]
 
 
 def _saving_steps(delta: float) -> int:

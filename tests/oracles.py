@@ -36,6 +36,17 @@ def anchor_distances(lattice, metric: str = "l1") -> np.ndarray:
     return np.abs(diff).sum(axis=2) if metric == "l1" else np.linalg.norm(diff, axis=2)
 
 
+def lattice_by_grid_filter(radius: float, delta: float, d_prime: int) -> np.ndarray:
+    """Integer coordinates of the anchors a in delta Z^d' with ||a||_2 <= R +
+    delta sqrt(d'), lexicographically sorted: every point of the bounding
+    cube's grid whose float norm passes."""
+    bound = radius + delta * np.sqrt(d_prime)
+    k_max = int(np.floor(bound / delta))
+    axis = np.arange(-k_max, k_max + 1, dtype=np.int64)
+    grid = np.stack(np.meshgrid(*[axis] * d_prime, indexing="ij"), axis=-1).reshape(-1, d_prime)
+    return grid[np.linalg.norm(grid * delta, axis=1) <= bound]
+
+
 def projection_lp(nu: np.ndarray, rho: np.ndarray):
     """The literal projection LP over x = (mu, gamma, p, q) >= 0, as (cost, a_eq, b_eq).
 

@@ -166,7 +166,7 @@ def test_criterion_6_lp_projection_optimality():
             np.meshgrid(*([np.arange(-2, 3)] * d_prime), indexing="ij"), -1
         ).reshape(-1, d_prime)
         ints = grid[rng.choice(grid.shape[0], m, replace=False)]
-        lattice = Lattice(delta=0.7, radius=2.2, d_prime=d_prime, int_coords=ints)
+        lattice = Lattice(delta=0.7, int_coords=ints)
         nu = np.round(rng.normal(0.3, 0.6, m), 3)
         mu, objective = project_to_probability(np.rint(nu * 1000).astype(np.int64), 1000, lattice)
         oracle = projection_lp_by_vertex_enumeration(nu, anchor_distances(lattice))

@@ -18,6 +18,7 @@ import lowdp.metrics
 from lowdp import PipelineConfig, generate, planted_subspace_dataset, wasserstein1_sampled
 from lowdp.noise import SeededGenerator
 from lowdp.pca import BLOCK, Dataset
+from lowdp.psmm import build_lattice
 
 F64 = 8
 
@@ -68,4 +69,15 @@ def test_sampled_w1_holds_one_k_by_k_matrix_per_running_repeat():
     # each, d = 2), the jitter and matched-pair blocks and the thread pool's
     # bookkeeping fit in 16 blocks of BLOCK entries, a quarter of one matrix
     bound = F64 * (running * k * k + 16 * BLOCK)
+    assert peak <= bound
+
+
+def test_psmm_lattice_holds_a_few_anchor_arrays():
+    d_prime = 5
+    lattice, peak = _peak_bytes(lambda: build_lattice(3.0, 0.75, d_prime))
+    assert lattice.size == 48_285
+    # at the last axis: the repeated prefix (d' - 1 columns), the result
+    # (d' columns) and a few anchor-long 1-D arrays (the new column, its
+    # offsets, the squares); the prefix's room and widths are shorter
+    bound = 4 * F64 * lattice.size * d_prime
     assert peak <= bound

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     bl_projection_grid_lp,
     bl_projection_lp_dense,
     largest_remainder_counts,
+    lattice_by_grid_filter,
     projection_lp_by_vertex_enumeration,
 )
 
@@ -74,16 +76,75 @@ def test_lattice_cap_enforced():
         build_lattice(1.0, 1e-4, 3, cap=1000)
 
 
-@pytest.mark.parametrize("d_prime, delta", [(1, 0.05), (2, 0.3), (3, 0.25)])
-def test_lattice_cap_refuses_before_enumerating(monkeypatch, d_prime, delta):
-    lat = build_lattice(1.0, delta, d_prime)
+@pytest.mark.parametrize(
+    "d_prime, delta, radius",
+    [
+        pytest.param(1, 0.05, 500.0, id="1-0.05"),
+        pytest.param(2, 0.3, 25.0, id="2-0.3"),
+        pytest.param(3, 0.25, 4.0, id="3-0.25"),
+        pytest.param(5, 0.75, 3.0, id="5-0.75"),
+    ],
+)
+def test_lattice_cap_refuses_before_enumerating(d_prime, delta, radius):
+    lat = build_lattice(radius, delta, d_prime)
+    assert lat.size > 20_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeTooLargeError, match=f"about {lat.size} anchors"):
+            build_lattice(radius, delta, d_prime, cap=lat.size - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lat.size * d_prime * 8  # less than the anchor array it refuses
 
-    def enumerate_grid(*args, **kwargs):
-        raise AssertionError("the anchors were enumerated")
 
-    monkeypatch.setattr(np, "meshgrid", enumerate_grid)
-    with pytest.raises(LatticeTooLargeError, match=f"about {lat.size} anchors"):
-        build_lattice(1.0, delta, d_prime, cap=lat.size - 1)
+def test_lattice_over_eight_cap_grid_points_builds_within_cap():
+    # d' = 6: the bounding grid has 9^6 = 531,441 points, over 8 times the
+    # anchor count; only the anchor count is held against the cap
+    lat = build_lattice(1.0, 0.5, 6)
+    assert 9**6 > 8 * lat.size
+    assert (build_lattice(1.0, 0.5, 6, cap=lat.size).int_coords == lat.int_coords).all()
+
+
+def _lattice_oracle_instances():
+    """(radius, delta, d') triples: 2,000 seeded ones with d' from 1 to 5,
+    then every delta in {0.05, 0.1, 0.2, 0.25, 1/3, 0.5, 1, 2} x R in {1,
+    1.5, 2, 3} at each d' whose bounding grid has at most 200,000 points."""
+    rng = np.random.default_rng(23)
+    max_ratio = {1: 60.0, 2: 12.0, 3: 6.0, 4: 3.5, 5: 2.5}  # R / delta
+    for trial in range(2000):
+        d_prime = 1 + trial % 5
+        radius = float(rng.uniform(0.2, 4.0))
+        yield radius, radius / float(rng.uniform(0.5, max_ratio[d_prime])), d_prime
+    for d_prime in range(1, 6):
+        for delta in (0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0, 2.0):
+            for radius in (1.0, 1.5, 2.0, 3.0):
+                side = 2 * math.floor(radius / delta + math.sqrt(d_prime)) + 1
+                if delta <= 2 * radius and side**d_prime <= 200_000:
+                    yield radius, delta, d_prime
+
+
+def test_lattice_is_the_grid_filter_ball():
+    # the integer ball |z|^2 <= floor(reach^2) against the float-norm filter
+    # of the bounding grid.  They differ only at an exact tie, where the
+    # sphere |z| delta = R + delta sqrt(d') holds in exact arithmetic and the
+    # filter's rounded norms keep part of it (R = 1, delta = 1/3, d' = 4:
+    # 8 of the 248 points with |z|^2 = 25); the ball keeps all of it
+    ties = 0
+    for radius, delta, d_prime in _lattice_oracle_instances():
+        lat = build_lattice(radius, delta, d_prime)
+        grid = lattice_by_grid_filter(radius, delta, d_prime)
+        assert _grid_graph(lat)[0] == lat.size
+        if grid.shape == lat.int_coords.shape and (grid == lat.int_coords).all():
+            continue
+        ties += 1
+        listed = {tuple(row) for row in grid.tolist()}
+        in_grid = np.array([tuple(row) in listed for row in lat.int_coords.tolist()])
+        assert (lat.int_coords[in_grid] == grid).all()
+        dropped = lat.int_coords[~in_grid]
+        bound = radius + delta * math.sqrt(d_prime)
+        assert np.allclose(np.linalg.norm(dropped * delta, axis=1), bound, rtol=1e-12, atol=0)
+    assert ties == 1
 
 
 def test_cell_counts_origin_and_boundaries():
@@ -107,6 +168,15 @@ def test_cell_counts_partition_of_ball():
     raw *= 1.5 / np.maximum(np.linalg.norm(raw, axis=0), 1.5)
     counts = cell_counts(raw, lat)
     assert counts.sum() == 100
+
+
+@pytest.mark.parametrize("point", [[1.6, 1.6], [10.0, 0.0]], ids=["in-box", "off-box"])
+def test_cell_counts_asserts_on_a_point_outside_every_cell(point):
+    # reach = 2 + sqrt(2): the anchors are |z|^2 <= 11 inside the box
+    # [-3, 3]^2; cell (3, 3) is in the box, (20, 0) is not
+    lat = build_lattice(1.0, 0.5, 2)
+    with pytest.raises(AssertionError, match="coverage"):
+        cell_counts(np.array([[0.0, point[0]], [0.0, point[1]]]), lat)
 
 
 def test_signed_measure_formula():
@@ -158,7 +228,7 @@ def _bl_distance_oracle(nu, mu, rho):
 
 
 def test_projection_identity_when_already_probability():
-    lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
+    lat = Lattice(delta=0.5, int_coords=np.array([[0], [1]]))
     nu = np.array([0.25, 0.75])
     mu, obj = _project(nu, lat)
     assert obj == pytest.approx(0.0, abs=1e-10)
@@ -167,14 +237,14 @@ def test_projection_identity_when_already_probability():
 
 def test_projection_mass_destruction_example():
     # two anchors at distance 0.5, nu = (0.7, 0.5): destroy 0.2 -> objective 0.2
-    lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
+    lat = Lattice(delta=0.5, int_coords=np.array([[0], [1]]))
     mu, obj = _project(np.array([0.7, 0.5]), lat)
     assert obj == pytest.approx(0.2, abs=1e-9)
     assert np.allclose(mu.sum(), 1.0, atol=1e-9)
 
 
 def test_projection_mass_creation_example():
-    lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
+    lat = Lattice(delta=0.5, int_coords=np.array([[0], [1]]))
     mu, obj = _project(np.array([0.4, 0.4]), lat)
     assert obj == pytest.approx(0.2, abs=1e-9)
 
@@ -184,7 +254,7 @@ def test_projection_objective_matches_bfs_enumeration_oracle():
     for trial in range(6):
         m = int(rng.integers(2, 4))
         ints = rng.choice(np.arange(-2, 3), size=(m, 1), replace=False)
-        lat = Lattice(delta=0.8, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
+        lat = Lattice(delta=0.8, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.3, 0.5, m), 2)
         _, obj = _project(nu, lat)
         rho = anchor_distances(lat)
@@ -201,11 +271,11 @@ def _dense_lp_instances():
     for trial in range(20):
         m = int(rng.integers(2, 8))
         ints = cand[rng.choice(cand.shape[0], m, replace=False)]
-        yield np.round(rng.normal(0.2, 0.5, m), 3), Lattice(delta=0.6, radius=2.0, d_prime=2, int_coords=ints)
+        yield np.round(rng.normal(0.2, 0.5, m), 3), Lattice(delta=0.6, int_coords=ints)
     rng = np.random.default_rng(4)
     for trial in range(4):
         ints = cand[rng.choice(cand.shape[0], 3, replace=False)]
-        yield np.round(rng.normal(0.3, 0.4, 3), 2), Lattice(delta=0.6, radius=2.0, d_prime=2, int_coords=ints)
+        yield np.round(rng.normal(0.3, 0.4, 3), 2), Lattice(delta=0.6, int_coords=ints)
 
 
 def test_projection_flow_agrees_with_simplex():
@@ -227,12 +297,7 @@ def test_projection_transit_nodes_stay_exact():
     for trial in range(8):
         m = int(rng.integers(6, 12))
         cand = np.stack(np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij"), -1).reshape(-1, 2)
-        lat = Lattice(
-            delta=0.4,
-            radius=1.6,
-            d_prime=2,
-            int_coords=cand[rng.choice(cand.shape[0], m, replace=False)],
-        )
+        lat = Lattice(delta=0.4, int_coords=cand[rng.choice(cand.shape[0], m, replace=False)])
         nu = np.round(rng.normal(0.1, 0.5, m), 3)
         assert _grid_graph(lat)[0] > m
         _, dense_obj = bl_projection_lp_dense(nu, anchor_distances(lat))
@@ -281,7 +346,7 @@ def test_projection_closed_form_when_delta_at_least_two():
 
 
 def test_closed_form_cuts_excess_from_smallest_cells():
-    lat = Lattice(delta=2.0, radius=2.0, d_prime=1, int_coords=np.array([[-1], [0], [1], [2]]))
+    lat = Lattice(delta=2.0, int_coords=np.array([[-1], [0], [1], [2]]))
     mu, obj = _project(np.array([0.3, 0.6, 0.3, 0.2]), lat)
     # excess 0.4: all 0.2 of cell 3, then 0.2 of cell 0 (the lower index of the 0.3 tie)
     assert obj == pytest.approx(0.4, abs=1e-12)
@@ -317,13 +382,13 @@ def _gate_instances():
     cand = np.stack(np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij"), -1).reshape(-1, 2)
     for trial in range(10):  # transit nodes
         ints = cand[rng.choice(cand.shape[0], int(rng.integers(6, 12)), replace=False)]
-        lat = Lattice(delta=0.4, radius=1.6, d_prime=2, int_coords=ints)
+        lat = Lattice(delta=0.4, int_coords=ints)
         counts = rng.integers(-5, 8, lat.size)
         instances.append((counts, max(int(np.maximum(counts, 0).sum()) - 3 * (trial % 3), 1), lat))
     lat = build_lattice(1.0, 0.5, 2)
     instances.append((-rng.integers(0, 4, lat.size), 7, lat))  # every nu <= 0
     for n in (3, 5, 9):
-        instances.append((np.array([5]), n, Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[1]]))))
+        instances.append((np.array([5]), n, Lattice(delta=0.5, int_coords=np.array([[1]]))))
     return instances
 
 
@@ -419,7 +484,7 @@ def test_projection_output_is_probability_and_bounded_below():
     for trial in range(15):
         m = int(rng.integers(2, 5))
         ints = rng.choice(np.arange(-3, 4), size=(m, 1), replace=False)
-        lat = Lattice(delta=0.5, radius=2.0, d_prime=1, int_coords=np.sort(ints, axis=0))
+        lat = Lattice(delta=0.5, int_coords=np.sort(ints, axis=0))
         nu = np.round(rng.normal(0.4, 0.7, m), 3)
         mu, obj = _project(nu, lat)
         assert (mu >= -1e-12).all()
@@ -428,14 +493,14 @@ def test_projection_output_is_probability_and_bounded_below():
 
 
 def test_measure_to_points_single_anchor():
-    lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[1]]))
+    lat = Lattice(delta=0.5, int_coords=np.array([[1]]))
     pts = measure_to_points(np.array([1.0]), lat, 5)
     assert pts.shape == (1, 5)
     assert (pts == 0.75).all()  # the centre of the cell [0.5, 1.0)
 
 
 def test_measure_to_points_tie_goes_to_lower_index():
-    lat = Lattice(delta=0.5, radius=1.0, d_prime=1, int_coords=np.array([[0], [1]]))
+    lat = Lattice(delta=0.5, int_coords=np.array([[0], [1]]))
     pts = measure_to_points(np.array([0.5, 0.5]), lat, 3)
     assert pts.shape == (1, 3)
     assert (pts[0] == [0.25, 0.25, 0.75]).all()
