@@ -16,6 +16,7 @@ from .noise import SeededGenerator, sample_integer_laplace, sample_laplace
 __all__ = ["audit_mechanism", "AUDIT_MECHANISMS"]
 
 AUDIT_MECHANISMS = ("integer-laplace-count", "covariance-entry")
+_ENTRY_BINS = 60
 
 
 def _ratio_report(counts_a, counts_b, samples, min_bin):
@@ -40,7 +41,6 @@ def audit_mechanism(
     gen: SeededGenerator,
     *,
     min_bin: int = 20,
-    n_bins: int = 60,
 ) -> dict:
     """Estimate the privacy loss of one mechanism on neighboring toy inputs.
 
@@ -51,7 +51,8 @@ def audit_mechanism(
     ``covariance-entry`` releases one covariance entry with continuous
     Laplace noise at the covariance scale 3 d^2 / (eps n); neighboring
     inputs shift the entry by its worst-case sensitivity 6/n and outputs
-    are binned.  The per-entry privacy loss is then eps * (2 / d^2).
+    are binned into 60 equal bins over their range.  The per-entry privacy
+    loss is then eps * (2 / d^2).
 
     Returns a report with the max observed log-ratio, its standard error,
     and the bound the mechanism is expected to satisfy.  A sample count too
@@ -89,7 +90,7 @@ def audit_mechanism(
         out_b = value_b + sample_laplace(sigma, gen.split("b"), size=samples)
         lo = min(out_a.min(), out_b.min())
         hi = max(out_a.max(), out_b.max())
-        edges = np.linspace(lo, hi, n_bins + 1)
+        edges = np.linspace(lo, hi, _ENTRY_BINS + 1)
         counts_a = np.histogram(out_a, bins=edges)[0].astype(np.float64)
         counts_b = np.histogram(out_b, bins=edges)[0].astype(np.float64)
         expected_bound = delta_entry / sigma  # = eps * 2 / d^2 for this entry

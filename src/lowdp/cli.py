@@ -159,13 +159,12 @@ def derive_seed(*parts) -> int:
 
 def _evaluate_w1(x, y, gen, metric, k, repeats, max_cells):
     """Exact W1 when the instance fits in max_cells, else the labeled sampled
-    estimator, drawing from gen with k = min(k, sizes) and the given repeats."""
+    estimator, drawing from gen with the given k and repeats."""
     if y.shape[1] == 0:
         return None, "empty"
     try:
         return float(wasserstein1(x, y, metric, max_cells=max_cells)), "exact"
     except SizeOverflowError:
-        k = min(k, x.shape[1], y.shape[1])
         return float(wasserstein1_sampled(x, y, gen, metric, k=k, repeats=repeats)), "sampled"
 
 
@@ -256,8 +255,7 @@ def _planted_trial(n, d, planted_dprime, config, data_gen, stage_gen, end_gen, m
     stage_w1 = None
     if result.size:
         coords_in, coords_out = result.intermediates["projected"].coords, result.intermediates["coords_out"]
-        k_stage = min(STAGE_K, n, result.size)
-        stage_w1 = float(wasserstein1_sampled(coords_in, coords_out, stage_gen, "l2", k=k_stage, repeats=STAGE_REPEATS))
+        stage_w1 = float(wasserstein1_sampled(coords_in, coords_out, stage_gen, "l2", k=STAGE_K, repeats=STAGE_REPEATS))
     w1, estimator = _evaluate_w1(data.points, result.points, end_gen, metric, k, repeats, max_cells)
     return {
         "n": n,

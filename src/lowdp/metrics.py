@@ -12,8 +12,9 @@ their double c-transform, so they satisfy u_i + v_j <= c_ij exactly on the
 reported costs and give a checkable dual Lipschitz certificate.
 
 For instances too large for the exact solvers there is a separate,
-explicitly approximate subsample estimator.  It draws k atoms from each
-point set and solves each pair of draws exactly, on one of two paths.  When
+explicitly approximate subsample estimator.  It draws k atoms without
+replacement from each point set, k at most the smaller set's size, and
+solves each pair of draws exactly, on one of two paths.  When
 the draw with fewer distinct atoms has K of them and 4 K <= k, as for PSMM
 outputs at lattice cell centres, that draw is collapsed to K atoms with
 integer multiplicities and the k x K transport is solved over the K atoms: a
@@ -53,7 +54,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +74,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CELLS = 4_000_000
+# absolute slack of both inequalities ``projection_diagnostics`` checks
+DIAGNOSTIC_SLACK = 1e-9
 # the sampled estimator collapses a draw of k atoms with K distinct ones when
 # K * _COLLAPSE_RATIO <= k.  Measured crossovers of the price-initialised
 # solver (d = 8, sup metric, 2 cores; draws near a 3-D subspace against K
@@ -256,15 +259,12 @@ def wasserstein1(p, q, metric: str = "linf", *, max_cells: int = DEFAULT_MAX_CEL
     return _transport(p, q, metric, 1, max_cells, detailed)
 
 
-def wasserstein2(p, q, metric: str = "l2", *, max_cells: int = DEFAULT_MAX_CELLS, detailed: bool = False):
+def wasserstein2(p, q, metric: str = "l2", *, max_cells: int = DEFAULT_MAX_CELLS) -> float:
     """Exact 2-Wasserstein distance (squared costs, square root reported).
 
-    Takes the same solver paths as ``wasserstein1``.
+    Takes the same solver paths as a plain ``wasserstein1`` call.
     """
-    result = _transport(p, q, metric, 2, max_cells, detailed)
-    if not detailed:
-        return math.sqrt(max(result, 0.0))
-    return replace(result, value=math.sqrt(max(result.value, 0.0)))
+    return math.sqrt(max(_transport(p, q, metric, 2, max_cells, False), 0.0))
 
 
 def wasserstein1_sampled(
@@ -278,10 +278,11 @@ def wasserstein1_sampled(
 ) -> float:
     """APPROXIMATE W1 estimate for large instances.
 
-    Draws k atoms from each point set (without replacement when k is at most
-    its size, else uniformly with replacement) and averages, over
-    independent repeats, the exact W1 between the two draws.  A draw with K
-    distinct atoms, 4 K <= k, is collapsed to K weighted atoms and solved as
+    Draws k atoms without replacement from each point set, k capped at the
+    smaller set's size, and averages, over independent repeats, the exact W1
+    between the two draws.  So two sets of one size k or less give their
+    exact W1, up to the jitter below.  A draw with K distinct atoms,
+    4 K <= k, is collapsed to K weighted atoms and solved as
     a k x K transport by successive shortest paths, with a duality check
     that raises SolverError; other draws take the k x k assignment on
     jittered costs.  Both paths report the mean cost of the matched pairs;
@@ -298,6 +299,7 @@ def wasserstein1_sampled(
         if not isinstance(count, (int, np.integer)) or count < 1:
             raise InvalidParameterError(f"{name} must be a positive integer, got {count!r}")
     p, q = _as_points(p), _as_points(q)
+    k = min(k, p.shape[1], q.shape[1])
     # the collapsed path computes its costs without ground_distances, so the
     # metric and the dimensions are checked before any draw, and the
     # coordinates of each collapsed pair of draws before its costs
@@ -492,11 +494,8 @@ def _transport_to_atoms(costs: np.ndarray, counts: np.ndarray):
 
 
 def _draw_atoms(points: np.ndarray, k: int, gen: SeededGenerator) -> np.ndarray:
-    size = points.shape[1]
-    if k <= size:
-        return points[:, gen.choice(size, size=k, replace=False)]
-    probs = np.full(size, 1.0 / size)
-    return points[:, gen.choice(size, size=k, replace=True, p=probs / probs.sum())]
+    """k of the columns of points, drawn without replacement; k is at most their count."""
+    return points[:, gen.choice(points.shape[1], size=k, replace=False)]
 
 
 @dataclass(frozen=True)
@@ -507,7 +506,7 @@ class ProjectionReport:
     eigenvalues of M = (1/n) Z Z^T, and ``noise_norm`` the spectral norm of the
     perturbation.  ``stability_ok`` asserts residual <= tail + 2 d' noise_norm
     and ``weyl_ok`` asserts the top-d' eigenvalue shifts are at most
-    noise_norm, both up to the stated numerical slack.
+    noise_norm, both up to a numerical slack of ``DIAGNOSTIC_SLACK``.
     """
 
     residual: float
@@ -516,7 +515,6 @@ class ProjectionReport:
     max_eigenvalue_shift: float
     stability_ok: bool
     weyl_ok: bool
-    slack: float
 
 
 def projection_diagnostics(
@@ -524,8 +522,6 @@ def projection_diagnostics(
     noise: np.ndarray,
     basis: np.ndarray,
     d_prime: int,
-    *,
-    slack: float = 1e-9,
 ) -> ProjectionReport:
     """Check the projection-stability and eigenvalue-shift bounds on one run.
 
@@ -533,7 +529,8 @@ def projection_diagnostics(
     ``noise`` the symmetric perturbation applied to M, and ``basis`` the
     d x d' columns B taken from the perturbed matrix's top eigenvectors.
     Only d x d work is done: with P = B B^T, the residual
-    (1/n) ||Z - P Z||_F^2 equals tr((I - P)^T (I - P) M) exactly.
+    (1/n) ||Z - P Z||_F^2 equals tr((I - P)^T (I - P) M) exactly.  Both
+    bounds are checked with the fixed absolute slack ``DIAGNOSTIC_SLACK``.
     """
     m_z = np.asarray(second_moment, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
@@ -557,7 +554,6 @@ def projection_diagnostics(
         tail=tail,
         noise_norm=noise_norm,
         max_eigenvalue_shift=shift,
-        stability_ok=residual <= tail + 2.0 * d_prime * noise_norm + slack,
-        weyl_ok=shift <= noise_norm + slack,
-        slack=slack,
+        stability_ok=residual <= tail + 2.0 * d_prime * noise_norm + DIAGNOSTIC_SLACK,
+        weyl_ok=shift <= noise_norm + DIAGNOSTIC_SLACK,
     )

@@ -70,8 +70,13 @@ class PipelineConfig:
             if not _whole_at_least_one(self.d_prime):
                 raise InvalidDimensionError(f"d_prime must be 'auto' or an integer >= 1, got {self.d_prime!r}")
             object.__setattr__(self, "d_prime", int(self.d_prime))
-        elif not 0.0 < self.tau < 1.0:
+        if not 0.0 < self.tau < 1.0:
             raise InvalidParameterError(f"tau must be in (0, 1), got {self.tau}")
+        # SeededGenerator reduces a seed mod 2^64 and int() truncates, so any
+        # other seed would replay a stream under a seed it was not drawn from
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise InvalidParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.m_target is not None:
             if not _whole_at_least_one(self.m_target):
                 raise InvalidParameterError(f"m_target must be None or an integer >= 1, got {self.m_target!r}")
@@ -112,8 +117,11 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     release, the projection's private mean and centering, and the
     diagnostics; the add-back reuses that private mean.
     The lift, the mean add-back, the on-subspace check and the clamp all
-    work in place in the one d x m output; ``keep_intermediates`` adds
-    copies of the lifted and the pre-clamp points.
+    work in place in the one d x m output.  ``keep_intermediates`` keeps
+    references, not copies: the projection stage's result ``projected`` and
+    the subroutine's d' x m output ``coords_out``.  The pre-clamp points are
+    ``projected.basis @ coords_out + projected.private_mean[:, None]`` to
+    the bit.
     """
     dataset = data if isinstance(data, Dataset) else Dataset(np.asarray(data, dtype=np.float64))
     d, n = dataset.points.shape
@@ -161,9 +169,7 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
     diag = projection_diagnostics(second_moment, effective_noise, projected.basis, d_prime)
 
     synthetic = projected.basis @ coords_out
-    lifted = synthetic.copy() if keep_intermediates else None
     synthetic += projected.private_mean[:, None]  # already released, no extra budget
-    pre_clamp = synthetic.copy() if keep_intermediates else None
     on_subspace = _on_subspace(synthetic, projected.private_mean, projected.basis)
     np.clip(synthetic, 0.0, 1.0, out=synthetic)
 
@@ -204,13 +210,5 @@ def generate(data, config: PipelineConfig, *, keep_intermediates: bool = False) 
         "non_private": False,  # every stage always draws its noise
         "warning": "empty-output" if m == 0 else None,
     }
-    intermediates = None
-    if keep_intermediates:
-        intermediates = {
-            "covariance": cov,
-            "projected": projected,
-            "coords_out": coords_out,
-            "lifted": lifted,
-            "pre_clamp": pre_clamp,
-        }
+    intermediates = {"projected": projected, "coords_out": coords_out} if keep_intermediates else None
     return SyntheticDataset(points=synthetic, provenance=provenance, intermediates=intermediates)

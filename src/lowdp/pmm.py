@@ -53,15 +53,14 @@ class CountTree:
     """Binary hierarchical partition of [-R, R]^d' with per-level count arrays.
 
     Level k holds 2^k nodes in theta-lexicographic order; node theta at level
-    k has array index int(theta, 2).  ``raw``, ``noisy`` and ``consistent``
-    are lists of per-level int64 arrays (None until the corresponding stage
-    has run).
+    k has array index int(theta, 2).  ``noisy`` and ``consistent`` are
+    lists of per-level int64 arrays (None until the corresponding stage has
+    run); the raw counts stay inside ``noisy_counts``.
     """
 
     radius: float
     d_prime: int
     depth: int
-    raw: list = None
     noisy: list = None
     consistent: list = None
     scales: np.ndarray = None
@@ -179,7 +178,7 @@ def noisy_counts(
     epsilon: float,
     gen: SeededGenerator,
 ) -> CountTree:
-    """Fill raw counts by point membership and perturb every node's count.
+    """Count the points in every node and release the counts perturbed.
 
     Noise at level j is integer Laplace at scale sigma_j, independent across
     all nodes of all levels (the root included); perturbed counts are
@@ -207,7 +206,7 @@ def noisy_counts(
     for level in range(tree.depth + 1):
         lam = sample_integer_laplace(scales[level], gen.split(f"level-{level}"), size=1 << level)
         noisy.append(np.maximum(raw[level] + lam, 0))
-    return replace(tree, raw=raw, noisy=noisy, scales=scales)
+    return replace(tree, noisy=noisy, scales=scales)
 
 
 def repair_children(parent: np.ndarray, child0: np.ndarray, child1: np.ndarray):

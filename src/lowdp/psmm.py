@@ -45,7 +45,8 @@ most a factor sqrt(d').
 
 scipy is imported on first use: a projection that builds the graph loads
 ``scipy.sparse`` and its ``csgraph`` for the Dijkstra and maximum-flow
-phases, and nothing else here needs it.
+phases, and nothing else here needs it.  The module attribute ``linprog``
+is ``metrics.linprog``, which imports scipy's only when called.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ from .errors import (
     LatticeTooLargeError,
     SolverError,
 )
+
+# not called here: perfbench/tracing.py wraps ``lowdp.psmm.linprog`` in a span,
+# and the traced benchmark run fails if the attribute is missing
+from .metrics import linprog  # noqa: F401
 from .noise import SeededGenerator, sample_integer_laplace
 
 __all__ = [
@@ -82,18 +87,6 @@ __all__ = [
 DEFAULT_ANCHOR_CAP = 338_000
 DELTA_MODES = ("alg5", "proof")
 _COARSER = "raise delta_scale (--delta-scale) for a coarser lattice"
-
-
-def __getattr__(name):
-    """``linprog`` is scipy's, resolved on request (PEP 562).  Not called
-    here: perfbench/tracing.py wraps ``lowdp.psmm.linprog`` in a span, and
-    the traced benchmark run fails if the attribute is missing; it goes
-    with ROADMAP item 6."""
-    if name == "linprog":
-        from scipy.optimize import linprog
-
-        return linprog
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

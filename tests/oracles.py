@@ -166,6 +166,13 @@ def classify_by_recursion(tree, coords):
     return idx
 
 
+def pre_clamp_points(intermediates):
+    """A kept run's points before the clamp: the lift of the subroutine's
+    output plus the private mean, the same arithmetic as ``generate``."""
+    projected = intermediates["projected"]
+    return projected.basis @ intermediates["coords_out"] + projected.private_mean[:, None]
+
+
 def eigenvectors_sign_fixed_by_loop(vecs):
     """One column at a time: the first entry above 1e-12 in magnitude is made positive."""
     vecs = vecs.copy()

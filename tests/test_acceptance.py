@@ -25,6 +25,7 @@ from oracles import (
     NoiselessGenerator,
     anchor_distances,
     leaf_centers,
+    pre_clamp_points,
     projection_lp_by_vertex_enumeration,
     wasserstein1_bruteforce,
 )
@@ -110,7 +111,7 @@ def test_criterion_3_projection_stability_invariants():
         noise = sample_symmetric_laplace_matrix(d, sigma, gen.split(f"a{trial}"))
         perturbed = z @ z.T / n + noise
         basis = np.linalg.eigh((perturbed + perturbed.T) / 2)[1][:, ::-1][:, :d_prime]
-        report = projection_diagnostics(z @ z.T / n, noise, basis, d_prime, slack=1e-9)
+        report = projection_diagnostics(z @ z.T / n, noise, basis, d_prime)
         all_ok &= report.stability_ok and report.weyl_ok
     assert _report(3, all_ok, "stability + eigenvalue-shift bounds on 100 random instances")
 
@@ -225,7 +226,7 @@ def test_criterion_8_clamp_contraction():
             PipelineConfig(epsilon=1.0, d_prime=2, subroutine="pmm", seed=trial),
             keep_intermediates=True,
         )
-        pre = result.intermediates["pre_clamp"]
+        pre = pre_clamp_points(result.intermediates)
         if pre.shape[1] == 0:
             continue
         lhs = wasserstein1(result.points, pre, "linf")

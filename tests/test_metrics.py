@@ -10,6 +10,8 @@ from lowdp import PipelineConfig, generate, planted_subspace_dataset
 from lowdp.cli import derive_seed
 from lowdp.errors import InvalidParameterError, SizeOverflowError, SolverError
 from lowdp.metrics import (
+    DEFAULT_MAX_CELLS,
+    DIAGNOSTIC_SLACK,
     ground_distances,
     projection_diagnostics,
     wasserstein1,
@@ -143,7 +145,8 @@ def _assignment_cases():
 def test_assignment_path_matches_lp(metric, monkeypatch):
     for x, y in _assignment_cases():
         lp_w1 = wasserstein1(x, y, metric, detailed=True).value
-        lp_w2 = wasserstein2(x, y, metric, detailed=True).value
+        # the transport LP on squared costs; wasserstein2 returns only the value
+        lp_w2 = lowdp.metrics._transport(x, y, metric, 2, DEFAULT_MAX_CELLS, True).value ** 0.5
         with monkeypatch.context() as m:
             m.setattr(lowdp.metrics, "linprog", None)  # the default call must not reach the LP
             assert wasserstein1(x, y, metric) == pytest.approx(lp_w1, abs=1e-12)
@@ -197,6 +200,21 @@ def test_sampled_estimator_pinned_value():
     y = np.round(rng.random((4, 500)) * 4) / 4
     value = wasserstein1_sampled(x, y, SeededGenerator(21), "linf", k=300, repeats=3)
     assert value.hex() == "0x1.4df4fa6b9d887p-3"
+
+
+@pytest.mark.parametrize("collapses", [False, True], ids=["assignment", "collapsed"])
+def test_sampled_estimator_past_the_set_size_is_exact(collapses, monkeypatch):
+    # k is capped at the smaller set's size, and a draw of a whole set is a
+    # permutation of it, so every repeat solves the exact instance
+    rng = np.random.default_rng(35)
+    x = rng.random((3, 40))
+    y = np.repeat(rng.random((3, 5)), 8, axis=1) if collapses else rng.random((3, 40))
+    exact = wasserstein1(x, y, "linf")
+    if collapses:
+        monkeypatch.setattr(lowdp.metrics, "linear_sum_assignment", _refuse)
+    for k in (40, 41, 1024):
+        value = wasserstein1_sampled(x, y, SeededGenerator(k), "linf", k=k, repeats=2)
+        assert abs(value - exact) <= 1e-10
 
 
 @pytest.mark.parametrize("bad", [{"k": 0}, {"k": -3}, {"repeats": 0}, {"k": 2.5}])
@@ -528,7 +546,8 @@ def test_collapse_choice_follows_the_path_rule():
 
 
 def test_sampled_estimator_checks_the_atom_transport_dual(monkeypatch):
-    x = np.array([[0.0, 0.0, 1.0, 1.0]])
+    # two atoms on each side: every draw of 16 collapses
+    x = np.array([[0.0, 0.0, 1.0, 1.0] * 8])
     y = np.array([[0.0, 1.0, 0.0, 1.0] * 8])
 
     def crossed(costs, counts):
@@ -638,11 +657,11 @@ def test_diagnostics_gram_residual_matches_direct_residual():
         noise = sample_symmetric_laplace_matrix(d, 10.0 ** rng.uniform(-3.0, 0.0), gen.split(f"a{trial}"))
         perturbed = z @ z.T / n + noise
         basis = np.linalg.eigh((perturbed + perturbed.T) / 2)[1][:, ::-1][:, :d_prime]
-        report = projection_diagnostics(z @ z.T / n, noise, basis, d_prime, slack=1e-9)
+        report = projection_diagnostics(z @ z.T / n, noise, basis, d_prime)
         direct = float(np.linalg.norm(z - basis @ (basis.T @ z)) ** 2 / n)
         assert report.residual == pytest.approx(direct, rel=1e-12, abs=0.0)
-        bound = report.tail + 2.0 * d_prime * report.noise_norm + report.slack
+        bound = report.tail + 2.0 * d_prime * report.noise_norm + DIAGNOSTIC_SLACK
         assert report.stability_ok == (direct <= bound)
         clean = (z @ z.T / n + (z @ z.T / n).T) / 2.0
         shift = np.abs(np.linalg.eigvalsh(clean)[::-1] - np.linalg.eigvalsh(clean + noise)[::-1])[:d_prime].max()
-        assert report.weyl_ok == (shift <= report.noise_norm + report.slack)
+        assert report.weyl_ok == (shift <= report.noise_norm + DIAGNOSTIC_SLACK)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import NoiselessGenerator
+from oracles import NoiselessGenerator, pre_clamp_points
 
 import lowdp.pipeline
 from lowdp.errors import InvalidBudgetError, InvalidDimensionError, InvalidParameterError, InvalidRegimeError
@@ -33,6 +33,25 @@ def test_config_rejects_non_integral_d_prime(d_prime):
 def test_config_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(InvalidBudgetError, match="finite"):
         PipelineConfig(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("seed", [1.7, 1.0, "7", True, False, None, -1, 2**64, np.float64(3.0)])
+def test_config_rejects_seeds_that_do_not_replay(seed):
+    # 1.7 would draw seed 1's stream, -1 that of 2**64 - 1
+    with pytest.raises(InvalidParameterError, match="seed"):
+        PipelineConfig(epsilon=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.int64(7), np.uint64(2**63)])
+def test_config_keeps_integer_seeds_as_int(seed):
+    config = PipelineConfig(epsilon=1.0, seed=seed)
+    assert config.seed == seed and type(config.seed) is int
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 5.0, -0.1, float("nan")])
+def test_config_validates_tau_with_an_explicit_d_prime(tau):
+    with pytest.raises(InvalidParameterError, match="tau"):
+        PipelineConfig(epsilon=1.0, d_prime=2, tau=tau)
 
 
 def test_config_keeps_whole_number_d_prime():
@@ -80,7 +99,7 @@ def test_pre_clamp_output_lies_on_private_affine_subspace():
         PipelineConfig(epsilon=1.0, d_prime=2, subroutine="pmm", seed=9),
         keep_intermediates=True,
     )
-    pre = result.intermediates["pre_clamp"]
+    pre = pre_clamp_points(result.intermediates)
     mean = result.intermediates["projected"].private_mean
     basis = result.intermediates["projected"].basis
     centered = pre - mean[:, None]
@@ -101,11 +120,8 @@ def test_in_place_lift_and_clamp_keep_the_intermediates_exact(n, d, config):
     config = PipelineConfig(epsilon=2.0, seed=11, **config)
     kept = generate(data, config, keep_intermediates=True)
     plain = generate(data, config)
-    inter = kept.intermediates
-    lifted = inter["projected"].basis @ inter["coords_out"]
-    assert inter["lifted"].tobytes() == lifted.tobytes()
-    assert inter["pre_clamp"].tobytes() == (lifted + inter["projected"].private_mean[:, None]).tobytes()
-    assert kept.points.tobytes() == np.clip(inter["pre_clamp"], 0.0, 1.0).tobytes()
+    assert set(kept.intermediates) == {"projected", "coords_out"}
+    assert kept.points.tobytes() == np.clip(pre_clamp_points(kept.intermediates), 0.0, 1.0).tobytes()
     assert plain.intermediates is None
     assert plain.points.tobytes() == kept.points.tobytes()
     assert plain.provenance == kept.provenance
@@ -204,7 +220,7 @@ def test_clamp_contraction_on_pipeline_runs():
             PipelineConfig(epsilon=1.0, d_prime=2, subroutine="pmm", seed=seed),
             keep_intermediates=True,
         )
-        pre = result.intermediates["pre_clamp"]
+        pre = pre_clamp_points(result.intermediates)
         if pre.shape[1] == 0:
             continue
         lhs = wasserstein1(result.points, pre, "linf")

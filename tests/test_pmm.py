@@ -101,12 +101,13 @@ def test_partition_covers_every_point_exactly_once():
 
 
 def test_counts_raw_levels_sum_to_n():
+    # noiseless counts are the raw counts
     gen = SeededGenerator(1)
     coords = (gen.random((2, 64)) * 2.0 - 1.0) * 2.0
-    tree = noisy_counts(build_partition(2.0, 2, 5), coords, 1.0, gen.split("n"))
+    tree = noisy_counts(build_partition(2.0, 2, 5), coords, 1.0, NoiselessGenerator(1).split("n"))
     for level in range(tree.depth + 1):
-        assert tree.raw[level].sum() == 64
-    assert tree.raw[1][0] + tree.raw[1][1] == 64
+        assert tree.noisy[level].sum() == 64
+    assert tree.noisy[1][0] + tree.noisy[1][1] == 64
 
 
 def test_counts_out_of_domain_names_the_point():
@@ -124,16 +125,19 @@ def test_counts_reject_nan_coordinates():
 def test_zero_noise_counts_pass_through():
     coords = (SeededGenerator(2).random((2, 40)) * 2.0 - 1.0)
     tree = noisy_counts(build_partition(1.0, 2, 4), coords, 1.0, NoiselessGenerator(2).split("z"))
-    for level in range(tree.depth + 1):
-        assert (tree.noisy[level] == tree.raw[level]).all()
+    raw = np.bincount(classify_by_recursion(tree, coords), minlength=1 << tree.depth)
+    for level in range(tree.depth, -1, -1):
+        assert (tree.noisy[level] == raw).all()
+        raw = raw[0::2] + raw[1::2]
     assert tree.noisy[0][0] == 40
 
 
 def test_empty_input_counts_are_clipped_noise():
     coords = np.empty((2, 0))
     tree = noisy_counts(build_partition(1.0, 2, 3), coords, 1.0, SeededGenerator(3).split("e"))
+    noiseless = noisy_counts(build_partition(1.0, 2, 3), coords, 1.0, NoiselessGenerator(3).split("e"))
     for level in range(tree.depth + 1):
-        assert (tree.raw[level] == 0).all()
+        assert (noiseless.noisy[level] == 0).all()
         assert (tree.noisy[level] >= 0).all()
 
 
