@@ -495,7 +495,7 @@ def _transport_to_atoms(costs: np.ndarray, counts: np.ndarray):
 
 def _draw_atoms(points: np.ndarray, k: int, gen: SeededGenerator) -> np.ndarray:
     """k of the columns of points, drawn without replacement; k is at most their count."""
-    return points[:, gen.choice(points.shape[1], size=k, replace=False)]
+    return points[:, gen.choice(points.shape[1], k)]
 
 
 @dataclass(frozen=True)

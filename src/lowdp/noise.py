@@ -66,8 +66,9 @@ class SeededGenerator:
     def random(self, size=None):
         return self._rng.random(size)
 
-    def choice(self, n, size, replace=True, p=None):
-        return self._rng.choice(n, size=size, replace=replace, p=p)
+    def choice(self, n, size):
+        """size distinct integers drawn from range(n)."""
+        return self._rng.choice(n, size=size, replace=False)
 
     def standard_normal(self, size=None):
         return self._rng.standard_normal(size)
